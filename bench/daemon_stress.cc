@@ -86,7 +86,7 @@ void ClientWorker(int id, const std::string& socket_path,
   std::unique_ptr<vseld::Client> client = connect();
   if (client == nullptr) return;
 
-  vsel::SelectorOptions options;
+  vsel::TuningConfig options;
   options.limits.time_budget_sec = 2;
   options.limits.max_states = 20000;
   Result<uint64_t> opened = client->OpenSession("default", options);
@@ -277,7 +277,7 @@ int main(int argc, char** argv) {
   // weights cannot drift between the runs), canonical serialized form.
   bool parity_ok = false;
   {
-    vsel::SelectorOptions popt;
+    vsel::TuningConfig popt;
     popt.auto_calibrate_cm = false;
     popt.limits.time_budget_sec = 0;  // no wall-clock cut: deterministic
     popt.limits.max_states = parity_max_states;
@@ -345,7 +345,7 @@ int main(int argc, char** argv) {
         vseld::Client::Connect(socket_path, "quota-probe");
     if (connected.ok()) {
       vseld::Client client = std::move(*connected);
-      vsel::SelectorOptions qopt;
+      vsel::TuningConfig qopt;
       qopt.limits.max_states = 1000;
       std::vector<uint64_t> ids;
       Status overflow = Status::OK();
@@ -406,7 +406,7 @@ int main(int argc, char** argv) {
         vseld::Client::Connect(socket_path, "drain-probe");
     if (connected.ok()) {
       vseld::Client client = std::move(*connected);
-      vsel::SelectorOptions dopt;
+      vsel::TuningConfig dopt;
       dopt.limits.max_states = 5000000;  // big enough to still be running
       for (int i = 0; i < 3; ++i) {
         Result<uint64_t> sid = client.OpenSession("default", dopt);

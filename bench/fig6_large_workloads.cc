@@ -217,7 +217,7 @@ int main(int argc, char** argv) {
             }
           }
 
-          vsel::SelectorOptions options;
+          vsel::TuningConfig options;
           options.strategy = strategy;
           options.heuristics.avf = true;
           options.heuristics.stop_var = true;

@@ -75,7 +75,7 @@ int main(int argc, char** argv) {
     for (vsel::EntailmentMode mode :
          {vsel::EntailmentMode::kPreReformulate,
           vsel::EntailmentMode::kPostReformulate}) {
-      vsel::SelectorOptions opts;
+      vsel::TuningConfig opts;
       opts.entailment = mode;
       opts.strategy = vsel::StrategyKind::kDfs;
       opts.heuristics.avf = true;

@@ -81,7 +81,7 @@ int main(int argc, char** argv) {
   // --- Recommend + materialize views under both reformulation modes. ------
   vsel::ViewSelector selector(&store, &dict, &barton.schema);
   auto recommend = [&](vsel::EntailmentMode mode) {
-    vsel::SelectorOptions opts;
+    vsel::TuningConfig opts;
     opts.entailment = mode;
     opts.heuristics.avf = true;
     opts.heuristics.stop_var = true;

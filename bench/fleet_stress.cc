@@ -189,7 +189,7 @@ int main(int argc, char** argv) {
   // counters) legitimately drifts run to run — locally just as much as
   // remotely — and would fail any byte gate even against itself.
   // Calibration off so weights cannot drift between the runs.
-  vsel::SelectorOptions popt;
+  vsel::TuningConfig popt;
   popt.auto_calibrate_cm = false;
   popt.limits.time_budget_sec = 0;
   popt.limits.max_states = parity_max_states;
@@ -358,7 +358,7 @@ int main(int argc, char** argv) {
     fault::Arm(static_cast<uint64_t>(flags.GetInt("chaos-seed", 0xF1EE7)),
                std::move(plan));
     std::fprintf(stderr, "[fleet] chaos: vseld.* sites armed\n");
-    vsel::SelectorOptions burst = popt;
+    vsel::TuningConfig burst = popt;
     burst.limits.max_states = 2000;
     size_t burst_ok = 0, burst_failed = 0;
     for (int round = 0; round < 6; ++round) {

@@ -195,7 +195,7 @@ int main(int argc, char** argv) {
   std::vector<cq::ConjunctiveQuery> delta(all.end() - static_cast<long>(k),
                                           all.end());
 
-  vsel::SelectorOptions options;
+  vsel::TuningConfig options;
   options.strategy = ParseStrategy(flags.GetString("strategy", "GSTR"));
   options.limits.time_budget_sec = budget;
   // Unlimited states by default: a memory-capped partition search does not
@@ -253,7 +253,7 @@ int main(int argc, char** argv) {
 
   // The from-scratch baseline always runs cache-less: Recommend wraps a
   // TuningSession, so leaving cache_dir set would let it warm-start too.
-  vsel::SelectorOptions scratch_options = options;
+  vsel::TuningConfig scratch_options = options;
   scratch_options.cache.cache_dir.clear();
   watch.Restart();
   vsel::ViewSelector selector(&store, &dict);

@@ -38,7 +38,7 @@ int main() {
               store.size());
 
   vsel::ViewSelector selector(&store, &dict);
-  vsel::SelectorOptions options;  // DFS-AVF-STV
+  vsel::TuningConfig options;  // DFS-AVF-STV
   options.limits.time_budget_sec = 3.0;
 
   // --- 2. Partitioned: the pipeline splits, searches, merges. -------------

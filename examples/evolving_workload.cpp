@@ -59,7 +59,7 @@ int main() {
   std::vector<cq::ConjunctiveQuery> initial(log.begin(), log.end() - 6);
   std::vector<cq::ConjunctiveQuery> arriving(log.end() - 6, log.end());
 
-  vsel::SelectorOptions options;
+  vsel::TuningConfig options;
   // Greedy stratified, no time budget: every family search terminates with
   // its space (greedily) exhausted, so every partition result is cacheable.
   // Exhaustive strategies would need a budget here — and budget-truncated

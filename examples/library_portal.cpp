@@ -71,7 +71,7 @@ int main(int argc, char** argv) {
 
   // --- Offline: select and materialize the portal's views. -----------------
   vsel::ViewSelector selector(&store, &dict, &barton.schema);
-  vsel::SelectorOptions options;
+  vsel::TuningConfig options;
   options.entailment = vsel::EntailmentMode::kPostReformulate;
   options.limits.time_budget_sec = budget;
   Result<vsel::Recommendation> rec = selector.Recommend(queries, options);

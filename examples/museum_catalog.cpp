@@ -71,7 +71,7 @@ int main() {
   for (vsel::EntailmentMode mode :
        {vsel::EntailmentMode::kSaturate, vsel::EntailmentMode::kPreReformulate,
         vsel::EntailmentMode::kPostReformulate}) {
-    vsel::SelectorOptions options;
+    vsel::TuningConfig options;
     options.entailment = mode;
     options.limits.time_budget_sec = 2.0;
     auto rec = selector.Recommend(workload, options);

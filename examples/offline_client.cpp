@@ -40,7 +40,7 @@ int main() {
       workload::GenerateSatisfiableWorkload(spec, store, &dict);
 
   vsel::ViewSelector selector(&store, &dict, &barton.schema);
-  vsel::SelectorOptions options;
+  vsel::TuningConfig options;
   options.entailment = vsel::EntailmentMode::kPostReformulate;
   options.limits.time_budget_sec = 2.0;
   Result<vsel::Recommendation> rec = selector.Recommend(queries, options);

@@ -48,7 +48,7 @@ int main() {
 
   // --- 3. Recommend views. ------------------------------------------------
   vsel::ViewSelector selector(&store, &dict);
-  vsel::SelectorOptions options;            // DFS-AVF-STV by default
+  vsel::TuningConfig options;            // DFS-AVF-STV by default
   options.limits.time_budget_sec = 2.0;
   Result<vsel::Recommendation> rec = selector.Recommend({*q1}, options);
   if (!rec.ok()) {

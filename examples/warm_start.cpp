@@ -68,7 +68,7 @@ int main() {
           .string();
   std::filesystem::remove_all(cache_dir);  // demo starts genuinely cold
 
-  vsel::SelectorOptions options;
+  vsel::TuningConfig options;
   options.strategy = vsel::StrategyKind::kGstr;
   // Fixed weights: persisted costs must mean the same thing in every
   // process that reads the cache (see README "Persistent caches").

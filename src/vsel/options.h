@@ -281,7 +281,6 @@ const char* EntailmentModeName(EntailmentMode mode);
 /// same struct configures ViewSelector::Recommend, TuningSession, the
 /// pipeline stages, and (through serialize::SerializeTuningConfig, one wire
 /// form) both the vseld open-session and dispatch-partition verbs.
-/// `SelectorOptions` remains as a back-compat alias.
 struct TuningConfig {
   StrategyKind strategy = StrategyKind::kDfs;
   HeuristicOptions heuristics{.avf = true, .stop_var = true};
@@ -316,10 +315,6 @@ struct TuningConfig {
   /// diagnostic everywhere instead of misbehaving mid-run.
   Status Validate() const;
 };
-
-/// Back-compat alias: nine PRs of call sites name the aggregate
-/// SelectorOptions; they migrate mechanically.
-using SelectorOptions = TuningConfig;
 
 /// Counters exposed by every strategy (the quantities of Figure 5).
 struct SearchStats {

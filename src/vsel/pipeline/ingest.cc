@@ -123,7 +123,7 @@ Result<IngestResult> Ingest(const rdf::TripleStore* store,
                             const rdf::Dictionary* dict,
                             const rdf::Schema* schema,
                             const std::vector<cq::ConjunctiveQuery>& workload,
-                            const SelectorOptions& options,
+                            const TuningConfig& options,
                             rdf::Statistics* external_stats,
                             SessionCaches* caches) {
   if (workload.empty()) {

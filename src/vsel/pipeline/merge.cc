@@ -126,7 +126,7 @@ size_t MergeStates(const PartitionPlan& plan,
 Result<Recommendation> MergePartitions(
     const IngestResult& ingest, const PartitionPlan& plan,
     std::vector<PartitionOutcome> results, CostModel* cost_model,
-    const SelectorOptions& options, const PipelineReport* report) {
+    const TuningConfig& options, const PipelineReport* report) {
   RDFVIEWS_CHECK(plan.groups.size() == results.size() && !results.empty());
 
   size_t survivors = 0;

@@ -13,7 +13,7 @@ Result<Recommendation> Run(const rdf::TripleStore* store,
                            const rdf::Dictionary* dict,
                            const rdf::Schema* schema,
                            const std::vector<cq::ConjunctiveQuery>& workload,
-                           const SelectorOptions& options,
+                           const TuningConfig& options,
                            rdf::Statistics* external_stats) {
   RDFVIEWS_RETURN_IF_ERROR(options.Validate());
   // One tracer per run; armed through the thread-local context so every

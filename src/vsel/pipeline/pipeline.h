@@ -151,7 +151,7 @@ Result<IngestResult> Ingest(const rdf::TripleStore* store,
                             const rdf::Dictionary* dict,
                             const rdf::Schema* schema,
                             const std::vector<cq::ConjunctiveQuery>& workload,
-                            const SelectorOptions& options,
+                            const TuningConfig& options,
                             rdf::Statistics* external_stats = nullptr,
                             SessionCaches* caches = nullptr);
 
@@ -181,7 +181,7 @@ struct PartitionPlan {
 /// (see the header comment): partitioning disabled, stop_var off, or some
 /// query with a constant-free connected component (which disarms stop_var).
 PartitionPlan PartitionWorkload(const IngestResult& ingest,
-                                const SelectorOptions& options);
+                                const TuningConfig& options);
 
 // ---- Stage 3: search -------------------------------------------------------
 
@@ -280,7 +280,7 @@ struct PreseededOutcome {
 /// search died.
 Result<std::vector<PartitionOutcome>> SearchPartitions(
     const IngestResult& ingest, const PartitionPlan& plan,
-    CostModel* cost_model, const SelectorOptions& options,
+    CostModel* cost_model, const TuningConfig& options,
     const std::vector<PreseededOutcome>* preseeded = nullptr,
     PipelineReport* report = nullptr);
 
@@ -307,7 +307,7 @@ Result<std::vector<PartitionOutcome>> SearchPartitions(
 Result<Recommendation> MergePartitions(
     const IngestResult& ingest, const PartitionPlan& plan,
     std::vector<PartitionOutcome> results, CostModel* cost_model,
-    const SelectorOptions& options, const PipelineReport* report = nullptr);
+    const TuningConfig& options, const PipelineReport* report = nullptr);
 
 // ---- The whole pipeline ----------------------------------------------------
 
@@ -318,7 +318,7 @@ Result<Recommendation> Run(const rdf::TripleStore* store,
                            const rdf::Dictionary* dict,
                            const rdf::Schema* schema,
                            const std::vector<cq::ConjunctiveQuery>& workload,
-                           const SelectorOptions& options,
+                           const TuningConfig& options,
                            rdf::Statistics* external_stats = nullptr);
 
 }  // namespace rdfviews::vsel::pipeline

@@ -75,7 +75,7 @@ size_t EnumerationCostWeight(const State& s0) {
 /// IngestResult without the minimized vector minimizes locally.
 Result<State> MakePartitionInitialState(const IngestResult& ingest,
                                         const std::vector<size_t>& group,
-                                        const SelectorOptions& options) {
+                                        const TuningConfig& options) {
   const bool have_minimized =
       ingest.minimized.size() == ingest.queries.size();
   const bool pre_reformulate =
@@ -173,7 +173,7 @@ std::vector<SearchLimits> ApportionSearchLimits(
 
 Result<std::vector<PartitionOutcome>> SearchPartitions(
     const IngestResult& ingest, const PartitionPlan& plan,
-    CostModel* cost_model, const SelectorOptions& options,
+    CostModel* cost_model, const TuningConfig& options,
     const std::vector<PreseededOutcome>* preseeded,
     PipelineReport* report) {
   const size_t num_partitions = plan.groups.size();

@@ -19,7 +19,7 @@ const char* EntailmentModeName(EntailmentMode mode) {
 
 Result<Recommendation> ViewSelector::Recommend(
     const std::vector<cq::ConjunctiveQuery>& workload,
-    const SelectorOptions& options) const {
+    const TuningConfig& options) const {
   RDFVIEWS_CHECK(store_ != nullptr && store_->built());
   // The selector is the one-shot convenience wrapper over a TuningSession:
   // one update over the whole workload, caches discarded with the session.

@@ -21,8 +21,8 @@
 
 namespace rdfviews::vsel {
 
-// EntailmentMode and the unified TuningConfig aggregate (with its
-// back-compat alias SelectorOptions) live in vsel/options.h.
+// EntailmentMode and the unified TuningConfig aggregate live in
+// vsel/options.h.
 
 /// Per-partition health record of one pipeline run: how many attempts the
 /// partition took, what the last failure was, and whether it ended
@@ -148,7 +148,7 @@ class ViewSelector {
   /// streaming through RecommendAsync.
   Result<Recommendation> Recommend(
       const std::vector<cq::ConjunctiveQuery>& workload,
-      const SelectorOptions& options) const;
+      const TuningConfig& options) const;
 
  private:
   const rdf::TripleStore* store_;

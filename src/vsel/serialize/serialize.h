@@ -78,7 +78,7 @@ struct CacheIdentity {
 
 /// Computes the identity for a (store, options) environment.
 CacheIdentity ComputeCacheIdentity(const rdf::TripleStore& store,
-                                   const SelectorOptions& options);
+                                   const TuningConfig& options);
 
 /// The identity as 16 raw little-endian bytes (store_tag and config_tag
 /// interleaved): the canonical salt sessions prepend to cache keys and
@@ -124,14 +124,6 @@ Result<SearchStats> DeserializeStats(ByteReader* r);
 /// out-of-range strategy or entailment mode into a switch.
 void SerializeTuningConfig(const TuningConfig& config, ByteWriter* w);
 Result<TuningConfig> DeserializeTuningConfig(ByteReader* r);
-
-/// Back-compat aliases from before the TuningConfig consolidation.
-inline void SerializeOptions(const SelectorOptions& options, ByteWriter* w) {
-  SerializeTuningConfig(options, w);
-}
-inline Result<SelectorOptions> DeserializeOptions(ByteReader* r) {
-  return DeserializeTuningConfig(r);
-}
 
 // ---- Top-level blobs -------------------------------------------------------
 

@@ -52,7 +52,7 @@ Result<Recommendation> TuningHandle::Wait() {
 
 TuningSession::TuningSession(
     const rdf::TripleStore* store, const rdf::Dictionary* dict,
-    const SelectorOptions& options, const rdf::Schema* schema,
+    const TuningConfig& options, const rdf::Schema* schema,
     std::shared_ptr<serialize::PartitionCacheBackend> cache_backend)
     : store_(store),
       dict_(dict),
@@ -206,7 +206,7 @@ Result<Recommendation> TuningSession::DoUpdate(
   // 2. Effective options for this update: freeze cm after the first
   // calibration, and splice in the async stop token / progress tracker
   // (both compose with whatever the caller put into options_.limits).
-  SelectorOptions opts = options_;
+  TuningConfig opts = options_;
   if (calibrated_) opts.auto_calibrate_cm = false;
   if (stop_override != nullptr) {
     opts.limits.stop = StopToken::Combine(options_.limits.stop,

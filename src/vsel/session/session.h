@@ -41,7 +41,7 @@
 // cached and fresh partition results stay cost-comparable; compare against
 // a from-scratch run with the same weights (or auto_calibrate_cm = false).
 //
-// Cancellation & observability: Update honors SelectorOptions::limits.stop
+// Cancellation & observability: Update honors TuningConfig::limits.stop
 // (a cooperative StopToken checked by every engine — serial, parallel
 // frontier, [21] competitors) and streams ProgressEvents (best-cost
 // improvements, per-partition completions) through limits.on_progress.
@@ -173,7 +173,7 @@ class TuningSession {
   /// discarded — the partition is simply re-searched.
   TuningSession(
       const rdf::TripleStore* store, const rdf::Dictionary* dict,
-      const SelectorOptions& options, const rdf::Schema* schema = nullptr,
+      const TuningConfig& options, const rdf::Schema* schema = nullptr,
       std::shared_ptr<serialize::PartitionCacheBackend> cache_backend =
           nullptr);
   ~TuningSession();
@@ -186,7 +186,7 @@ class TuningSession {
   /// returned recommendation is the valid current best; the partitions cut
   /// short simply stay dirty for the next update).
   ///
-  /// Failure semantics (see SelectorOptions::robust): a partition search
+  /// Failure semantics (see TuningConfig::robust): a partition search
   /// that throws, fails, or overruns its watchdog deadline is retried per
   /// the session's RetryPolicy and then abandoned — Update still returns a
   /// valid *degraded* recommendation over the surviving partitions
@@ -252,7 +252,7 @@ class TuningSession {
   const rdf::TripleStore* store_;
   const rdf::Dictionary* dict_;
   const rdf::Schema* schema_;
-  SelectorOptions options_;
+  TuningConfig options_;
   /// TuningConfig::Validate() verdict captured at construction; a rejected
   /// config fails every Update with the field-naming diagnostic (the
   /// constructor itself cannot return a Status).

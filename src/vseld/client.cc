@@ -75,7 +75,7 @@ Status Client::CachePut(const std::string& key, std::string blob,
 }
 
 Result<uint64_t> Client::OpenSession(const std::string& store_tag,
-                                     const vsel::SelectorOptions& options) {
+                                     const vsel::TuningConfig& options) {
   Request req = NewRequest(Verb::kOpenSession, 0);
   req.store_tag = store_tag;
   req.options = options;

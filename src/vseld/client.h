@@ -44,10 +44,10 @@ class Client {
                   const vsel::serialize::CacheIdentity& identity);
 
   /// Opens a session over the daemon's store tagged `store_tag`; only the
-  /// wire subset of `options` travels (see serialize::SerializeOptions),
+  /// wire subset of `options` travels (see serialize::SerializeTuningConfig),
   /// and the daemon clamps the limits to the admission slice.
   Result<uint64_t> OpenSession(const std::string& store_tag,
-                               const vsel::SelectorOptions& options);
+                               const vsel::TuningConfig& options);
 
   /// Applies a workload delta (datalog texts / query names to drop).
   /// wait=true blocks until the update finishes and returns its final

@@ -161,7 +161,7 @@ std::string EncodeRequest(const Request& request) {
   w.Str(request.client_id);
   w.U64(request.session_id);
   w.Str(request.store_tag);
-  serialize::SerializeOptions(request.options, &w);
+  serialize::SerializeTuningConfig(request.options, &w);
   w.U64(request.add_queries.size());
   for (const std::string& q : request.add_queries) w.Str(q);
   w.U64(request.remove_queries.size());
@@ -194,7 +194,7 @@ Result<Request> DecodeRequest(std::string_view payload) {
   req.client_id = r.Str();
   req.session_id = r.U64();
   req.store_tag = r.Str();
-  Result<vsel::SelectorOptions> options = serialize::DeserializeOptions(&r);
+  Result<vsel::TuningConfig> options = serialize::DeserializeTuningConfig(&r);
   if (!options.ok()) return options.status();
   req.options = std::move(*options);
   uint64_t n_add = r.Count(8);

@@ -27,9 +27,9 @@
 // Queries travel as datalog text (cq::ParseDatalog syntax), parsed by the
 // daemon against the addressed store's dictionary: term ids are
 // store-local, so shipping them would bind the client to the server's
-// interning order. Options travel through serialize::SerializeOptions (the
-// deterministic scalar subset; stop tokens, callbacks and storage paths
-// never cross the wire). Recommendations travel as the serialize.h blob,
+// interning order. Options travel through serialize::SerializeTuningConfig
+// (the deterministic scalar subset; stop tokens, callbacks and storage
+// paths never cross the wire). Recommendations travel as the serialize.h blob,
 // with the producing CacheIdentity alongside so the client can decode it.
 #ifndef RDFVIEWS_VSELD_PROTOCOL_H_
 #define RDFVIEWS_VSELD_PROTOCOL_H_
@@ -109,7 +109,7 @@ struct Request {
 
   // kOpenSession:
   std::string store_tag;
-  vsel::SelectorOptions options;  // wire subset; see serialize::SerializeOptions
+  vsel::TuningConfig options;  // wire subset; see SerializeTuningConfig
 
   // kUpdate:
   std::vector<std::string> add_queries;  // datalog texts

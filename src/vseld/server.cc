@@ -276,7 +276,7 @@ Response Daemon::HandleOpenSession(const Request& req) {
     return ErrorResponse(std::move(admitted), reason);
   }
 
-  vsel::SelectorOptions opts = req.options;
+  vsel::TuningConfig opts = req.options;
   opts.limits = admission_.ClampLimits(opts.limits);
   auto events = std::make_shared<EventQueue>();
   // The fan-out installed at construction: TuningSession chains it with

@@ -107,8 +107,8 @@ struct ChaosFixture : public ::testing::Test {
 
   /// Fixed-weight options with a fast-but-cheap retry policy; chaos runs
   /// must never wait out production-scale backoffs.
-  SelectorOptions Options(size_t max_attempts = 1) const {
-    SelectorOptions options;
+  TuningConfig Options(size_t max_attempts = 1) const {
+    TuningConfig options;
     options.strategy = StrategyKind::kDfs;
     options.auto_calibrate_cm = false;
     options.robust.retry.max_attempts = max_attempts;
@@ -118,7 +118,7 @@ struct ChaosFixture : public ::testing::Test {
   }
 
   Recommendation Scratch(const std::vector<cq::ConjunctiveQuery>& workload,
-                         const SelectorOptions& options) const {
+                         const TuningConfig& options) const {
     EXPECT_FALSE(fault::armed()) << "scratch reference must run fault-free";
     ViewSelector selector(&store, &dict);
     Result<Recommendation> rec = selector.Recommend(workload, options);
@@ -149,7 +149,7 @@ TEST_F(ChaosSweepTest, EverySiteEveryActionIsContainedAndRecoverable) {
     for (fault::Action action : kActions) {
       SCOPED_TRACE(std::string("site=") + site + " action=" +
                    std::to_string(static_cast<int>(action)));
-      SelectorOptions options = Options(/*max_attempts=*/2);
+      TuningConfig options = Options(/*max_attempts=*/2);
       // Parallel partitions over a pool (kPoolTask), a persistent robust
       // backend (the dircache sites): every site is on some code path.
       options.limits.num_threads = 2;
@@ -201,7 +201,7 @@ TEST_F(ChaosSweepTest, RandomizedMultiSiteChaosConvergesAfterDisarm) {
   // scenario, driven by the CI-randomized seed. Any seed must satisfy the
   // contract: faulty updates end cleanly (ok or error), and once the chaos
   // stops the session converges exactly.
-  SelectorOptions options = Options(/*max_attempts=*/4);
+  TuningConfig options = Options(/*max_attempts=*/4);
   options.limits.num_threads = 2;
   options.cache.cache_dir = TempCacheDir("chaos_multi");
   options.cache.robust_backend = true;
@@ -268,7 +268,7 @@ TEST_F(ChaosSweepTest, SnapshotLoadFaultSurfacesAsStatus) {
 using ChaosWatchdogTest = ChaosFixture;
 
 TEST_F(ChaosWatchdogTest, WatchdogCutsHungPartitionAndRetryRecovers) {
-  SelectorOptions options = Options(/*max_attempts=*/2);
+  TuningConfig options = Options(/*max_attempts=*/2);
   options.robust.partition_deadline_sec = 0.25;
 
   // The first partition attempt hangs "forever" (30 s safety cap — far
@@ -299,7 +299,7 @@ TEST_F(ChaosWatchdogTest, WatchdogCutsHungPartitionAndRetryRecovers) {
 using ChaosSessionTest = ChaosFixture;
 
 TEST_F(ChaosSessionTest, TotalFailureRollsTheUpdateBack) {
-  SelectorOptions options = Options(/*max_attempts=*/1);
+  TuningConfig options = Options(/*max_attempts=*/1);
   TuningSession session(&store, &dict, options);
 
   fault::SiteSpec spec;
@@ -327,7 +327,7 @@ TEST_F(ChaosSessionTest, TotalFailureRollsTheUpdateBack) {
 using ChaosDegradeTest = ChaosFixture;
 
 TEST_F(ChaosDegradeTest, DegradedRecommendationMatchesSurvivorSubsetTune) {
-  SelectorOptions options = Options(/*max_attempts=*/1);
+  TuningConfig options = Options(/*max_attempts=*/1);
 
   // Exactly the first-searched partition fails (serial order, nth = 1).
   fault::SiteSpec spec;
@@ -367,7 +367,7 @@ TEST_F(ChaosDegradeTest, DegradedRecommendationMatchesSurvivorSubsetTune) {
 }
 
 TEST_F(ChaosSessionTest, AbandonedPartitionsStayDirtyAndRecover) {
-  SelectorOptions options = Options(/*max_attempts=*/1);
+  TuningConfig options = Options(/*max_attempts=*/1);
   TuningSession session(&store, &dict, options);
   Result<Recommendation> rec0 = session.Update(initial);
   ASSERT_TRUE(rec0.ok()) << rec0.status().ToString();
@@ -415,7 +415,7 @@ TEST_F(ChaosSessionTest, AbandonedPartitionsStayDirtyAndRecover) {
 using ChaosRetryTest = ChaosFixture;
 
 TEST_F(ChaosRetryTest, TransientFaultsWithRetryConvergeExactly) {
-  SelectorOptions options = Options(/*max_attempts=*/3);
+  TuningConfig options = Options(/*max_attempts=*/3);
 
   // The first two attempts of the first-searched partition throw; the
   // third evaluation falls outside the window and succeeds.
@@ -443,7 +443,7 @@ TEST_F(ChaosRetryTest, CacheLayerFaultsAreCorrectnessNeutral) {
   // Randomized storage-layer chaos (seeded by CHAOS_SEED): every dircache
   // site flaky at p = 0.5 behind the retrying backend. Cache faults may
   // cost wasted searches — never a different recommendation.
-  SelectorOptions options = Options();
+  TuningConfig options = Options();
   options.cache.cache_dir = TempCacheDir("chaos_cache_neutral");
   options.cache.robust_backend = true;
   options.cache.backend_retry_backoff_sec = 0.0005;

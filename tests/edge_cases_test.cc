@@ -167,7 +167,7 @@ TEST(SelectorEdgeTest, ExNaiveStrategyEndToEnd) {
   std::vector<cq::ConjunctiveQuery> workload{
       MustParse("q(X) :- t(X, hasPainted, starryNight)", &fx.dict)};
   vsel::ViewSelector selector(&fx.store, &fx.dict);
-  vsel::SelectorOptions opts;
+  vsel::TuningConfig opts;
   opts.strategy = vsel::StrategyKind::kExNaive;
   opts.heuristics.avf = false;
   opts.heuristics.stop_var = false;
@@ -189,7 +189,7 @@ TEST(SelectorEdgeTest, SingleAtomWorkloadIsStable) {
   std::vector<cq::ConjunctiveQuery> workload{
       MustParse("q(X) :- t(X, p, Y)", &dict)};
   vsel::ViewSelector selector(&store, &dict);
-  vsel::SelectorOptions opts;
+  vsel::TuningConfig opts;
   opts.limits.time_budget_sec = 2;
   auto rec = selector.Recommend(workload, opts);
   ASSERT_TRUE(rec.ok());
@@ -204,7 +204,7 @@ TEST(SelectorEdgeTest, SharedViewAcrossQueriesAfterFusion) {
       MustParse("q1(X, Y) :- t(X, hasPainted, Y)", &fx.dict),
       MustParse("q2(B, A) :- t(A, hasPainted, B)", &fx.dict)};
   vsel::ViewSelector selector(&fx.store, &fx.dict);
-  vsel::SelectorOptions opts;
+  vsel::TuningConfig opts;
   opts.limits.time_budget_sec = 2;
   auto rec = selector.Recommend(workload, opts);
   ASSERT_TRUE(rec.ok());

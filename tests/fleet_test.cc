@@ -542,8 +542,8 @@ class FleetDaemonTest : public ::testing::Test {
     return q.ToString(&dict_);
   }
 
-  vsel::SelectorOptions FastOptions() const {
-    vsel::SelectorOptions options;
+  vsel::TuningConfig FastOptions() const {
+    vsel::TuningConfig options;
     options.auto_calibrate_cm = false;
     options.limits.max_states = 3000;
     options.limits.time_budget_sec = 0;
@@ -618,7 +618,7 @@ TEST_F(FleetDaemonTest, RemoteCacheBackendRoundTrip) {
 
   // A searched outcome to feed through the remote cache, produced by the
   // local pipeline over the same store.
-  vsel::SelectorOptions options = FastOptions();
+  vsel::TuningConfig options = FastOptions();
   Result<vsel::pipeline::IngestResult> ingest = vsel::pipeline::Ingest(
       &store_, &dict_, nullptr, {queries_[0], queries_[2]}, options);
   ASSERT_TRUE(ingest.ok()) << ingest.status().ToString();

@@ -34,7 +34,7 @@ class PipelineFixture : public ::testing::Test {
 
   void RunModeAndVerify(vsel::EntailmentMode mode) {
     vsel::ViewSelector selector(&store_, &dict_, &barton_.schema);
-    vsel::SelectorOptions opts;
+    vsel::TuningConfig opts;
     opts.entailment = mode;
     opts.limits.time_budget_sec = 5.0;
     auto rec = selector.Recommend(queries_, opts);
@@ -84,7 +84,7 @@ TEST_F(PipelineFixture, SearchAchievesCostReduction) {
   copy.set_name("q_dup");
   workload.push_back(copy);
   vsel::ViewSelector selector(&store_, &dict_, &barton_.schema);
-  vsel::SelectorOptions opts;
+  vsel::TuningConfig opts;
   opts.limits.time_budget_sec = 5.0;
   auto rec = selector.Recommend(workload, opts);
   ASSERT_TRUE(rec.ok());
@@ -106,12 +106,12 @@ TEST_F(PipelineFixture, ReformulationGrowsBartonWorkloads) {
 TEST_F(PipelineFixture, HeuristicsShrinkTheSearchSpace) {
   // Figure 5's qualitative content, at test scale.
   vsel::ViewSelector selector(&store_, &dict_);
-  vsel::SelectorOptions none;
+  vsel::TuningConfig none;
   none.heuristics.avf = false;
   none.heuristics.stop_var = false;
   none.limits.time_budget_sec = 2.0;
   none.limits.max_states = 20000;
-  vsel::SelectorOptions both;
+  vsel::TuningConfig both;
   both.heuristics.avf = true;
   both.heuristics.stop_var = true;
   both.limits = none.limits;

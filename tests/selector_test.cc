@@ -26,8 +26,8 @@ class SelectorFixture : public ::testing::Test {
     };
   }
 
-  SelectorOptions Options(EntailmentMode mode) {
-    SelectorOptions opts;
+  TuningConfig Options(EntailmentMode mode) {
+    TuningConfig opts;
     opts.entailment = mode;
     opts.limits.time_budget_sec = 2.0;
     return opts;
@@ -157,7 +157,7 @@ TEST_F(SelectorFixture, EmptyWorkloadRejected) {
 TEST_F(SelectorFixture, GstrStrategyEndToEnd) {
   ViewSelector selector(&fx_.store, &fx_.dict);
   auto workload = Workload();
-  SelectorOptions opts = Options(EntailmentMode::kNone);
+  TuningConfig opts = Options(EntailmentMode::kNone);
   opts.strategy = StrategyKind::kGstr;
   auto rec = selector.Recommend(workload, opts);
   ASSERT_TRUE(rec.ok());

@@ -88,8 +88,8 @@ struct Fixture {
     store = workload::GenerateStoreForWorkload(all, &dict, 3000, 42);
   }
 
-  SelectorOptions Options(StrategyKind strategy) const {
-    SelectorOptions options;
+  TuningConfig Options(StrategyKind strategy) const {
+    TuningConfig options;
     options.strategy = strategy;
     options.auto_calibrate_cm = false;
     return options;
@@ -114,7 +114,7 @@ struct SearchedPartitions {
 SearchedPartitions RunPartitionSearches(
     const rdf::TripleStore& store, const rdf::Dictionary& dict,
     const std::vector<cq::ConjunctiveQuery>& workload,
-    const SelectorOptions& options) {
+    const TuningConfig& options) {
   SearchedPartitions out;
   out.ingest = pipeline::Ingest(&store, &dict, nullptr, workload, options);
   EXPECT_TRUE(out.ingest.ok()) << out.ingest.status().ToString();
@@ -252,7 +252,7 @@ class SerializeStrategyTest : public ::testing::TestWithParam<StrategyKind> {
 
 TEST_P(SerializeStrategyTest, StateRoundTripPreservesIdentityAndCost) {
   Fixture fx;
-  SelectorOptions options = fx.Options(GetParam());
+  TuningConfig options = fx.Options(GetParam());
   SearchedPartitions searched =
       RunPartitionSearches(fx.store, fx.dict, fx.All(), options);
   ASSERT_FALSE(searched.results.empty());
@@ -292,7 +292,7 @@ TEST_P(SerializeStrategyTest, PartitionOutcomeRoundTripRandomizedWorkloads) {
     rdf::TripleStore store =
         workload::GenerateStoreForWorkload(queries, &dict, 800, seed);
 
-    SelectorOptions options;
+    TuningConfig options;
     options.strategy = GetParam();
     options.auto_calibrate_cm = false;
     // Bound the exhaustive strategies: truncated outcomes round-trip just
@@ -375,7 +375,7 @@ class SerializeRejectionTest : public ::testing::Test {
   }
 
   Fixture fx_;
-  SelectorOptions options_;
+  TuningConfig options_;
   SearchedPartitions searched_;
   CacheIdentity identity_;
   std::string key_;
@@ -433,7 +433,7 @@ TEST_F(SerializeRejectionTest, WrongCanonicalKeyIsRejected) {
 }
 
 TEST_F(SerializeRejectionTest, ConfigTagSeparatesOptionFlavors) {
-  SelectorOptions other = options_;
+  TuningConfig other = options_;
   other.strategy = StrategyKind::kGstr;
   EXPECT_NE(ComputeCacheIdentity(fx_.store, other).config_tag,
             identity_.config_tag);
@@ -493,7 +493,7 @@ TEST(DirCacheBackendTest, ClearSweepsOrphanedTempFiles) {
 
 TEST(SerializeRecommendationTest, RoundTripMatchesOriginal) {
   Fixture fx;
-  SelectorOptions options = fx.Options(StrategyKind::kDfs);
+  TuningConfig options = fx.Options(StrategyKind::kDfs);
   ViewSelector selector(&fx.store, &fx.dict);
   Result<Recommendation> rec = selector.Recommend(fx.All(), options);
   ASSERT_TRUE(rec.ok()) << rec.status().ToString();
@@ -575,7 +575,7 @@ TEST(SerializeRecommendationTest, RoundTripMatchesOriginal) {
 
 TEST(InMemoryCacheBackendTest, LruTrimEvictsOldestFirst) {
   Fixture fx;
-  SelectorOptions options = fx.Options(StrategyKind::kGstr);
+  TuningConfig options = fx.Options(StrategyKind::kGstr);
   SearchedPartitions searched =
       RunPartitionSearches(fx.store, fx.dict, fx.initial, options);
   ASSERT_FALSE(searched.results.empty());
@@ -600,7 +600,7 @@ TEST(InMemoryCacheBackendTest, LruTrimEvictsOldestFirst) {
 
 TEST(DirCacheBackendTest, PutGetRoundTripAndBestEffortMisses) {
   Fixture fx;
-  SelectorOptions options = fx.Options(StrategyKind::kDfs);
+  TuningConfig options = fx.Options(StrategyKind::kDfs);
   SearchedPartitions searched =
       RunPartitionSearches(fx.store, fx.dict, fx.initial, options);
   CacheIdentity identity = ComputeCacheIdentity(fx.store, options);
@@ -662,7 +662,7 @@ class WarmStartTest : public ::testing::TestWithParam<StrategyKind> {};
 
 TEST_P(WarmStartTest, FreshSessionReusesEveryCleanPartition) {
   Fixture fx;
-  SelectorOptions options = fx.Options(GetParam());
+  TuningConfig options = fx.Options(GetParam());
   options.cache.cache_dir = TempCacheDir(
       std::string("warm_start_") + StrategyName(GetParam()));
 
@@ -681,7 +681,7 @@ TEST_P(WarmStartTest, FreshSessionReusesEveryCleanPartition) {
   // recommendation (the acceptance bar of the warm-start CI smoke). The
   // scratch baseline runs cache-less — Recommend wraps a TuningSession, so
   // it would otherwise read the directory too.
-  SelectorOptions scratch_options = options;
+  TuningConfig scratch_options = options;
   scratch_options.cache.cache_dir.clear();
   ViewSelector selector(&fx.store, &fx.dict);
   Result<Recommendation> scratch =
@@ -724,7 +724,7 @@ INSTANTIATE_TEST_SUITE_P(AllStrategies, WarmStartTest,
 
 TEST(WarmStartTest, ForeignConfigurationSharesNothing) {
   Fixture fx;
-  SelectorOptions options = fx.Options(StrategyKind::kDfs);
+  TuningConfig options = fx.Options(StrategyKind::kDfs);
   options.cache.cache_dir = TempCacheDir("warm_start_foreign");
   {
     TuningSession session(&fx.store, &fx.dict, options);
@@ -732,7 +732,7 @@ TEST(WarmStartTest, ForeignConfigurationSharesNothing) {
   }
   // Same directory, different strategy: every entry is identity-rejected
   // and every partition re-searched.
-  SelectorOptions other = fx.Options(StrategyKind::kGstr);
+  TuningConfig other = fx.Options(StrategyKind::kGstr);
   other.cache.cache_dir = options.cache.cache_dir;
   TuningSession session(&fx.store, &fx.dict, other);
   Result<Recommendation> rec = session.Update(fx.initial);
@@ -748,12 +748,12 @@ TEST(WarmStartTest, SharedInMemoryBackendIsolatesConfigurations) {
   // is not a GSTR optimum).
   Fixture fx;
   auto backend = std::make_shared<InMemoryCacheBackend>();
-  SelectorOptions dfs = fx.Options(StrategyKind::kDfs);
+  TuningConfig dfs = fx.Options(StrategyKind::kDfs);
   TuningSession a(&fx.store, &fx.dict, dfs, nullptr, backend);
   ASSERT_TRUE(a.Update(fx.initial).ok());
   EXPECT_GT(backend->Size(), 0u);
 
-  SelectorOptions gstr = fx.Options(StrategyKind::kGstr);
+  TuningConfig gstr = fx.Options(StrategyKind::kGstr);
   TuningSession b(&fx.store, &fx.dict, gstr, nullptr, backend);
   Result<Recommendation> rec = b.Update(fx.initial);
   ASSERT_TRUE(rec.ok());
@@ -769,7 +769,7 @@ TEST(WarmStartTest, SharedInMemoryBackendIsolatesConfigurations) {
 
 TEST(WarmStartTest, CalibrationOnDefersWarmStartToSecondUpdate) {
   Fixture fx;
-  SelectorOptions options = fx.Options(StrategyKind::kDfs);
+  TuningConfig options = fx.Options(StrategyKind::kDfs);
   options.auto_calibrate_cm = true;
   options.cache.cache_dir = TempCacheDir("warm_start_calibrated");
   {
@@ -795,7 +795,7 @@ TEST(WarmStartTest, CalibrationOnDefersWarmStartToSecondUpdate) {
 
 TEST(WarmStartTest, RehydrationRejectionIsCountedAndRecovered) {
   Fixture fx;
-  SelectorOptions options = fx.Options(StrategyKind::kDfs);
+  TuningConfig options = fx.Options(StrategyKind::kDfs);
   options.cache.cache_dir = TempCacheDir("warm_start_rehydration_reject");
 
   // Poison the directory under the *same* identity: partition 1's outcome
@@ -819,7 +819,7 @@ TEST(WarmStartTest, RehydrationRejectionIsCountedAndRecovered) {
   // The poisoned partition was simply re-searched: the recommendation is
   // still the from-scratch one.
   EXPECT_EQ(rec->pipeline.partitions_searched, rec->pipeline.num_partitions);
-  SelectorOptions scratch_options = options;
+  TuningConfig scratch_options = options;
   scratch_options.cache.cache_dir.clear();
   ViewSelector selector(&fx.store, &fx.dict);
   Result<Recommendation> scratch =
@@ -830,7 +830,7 @@ TEST(WarmStartTest, RehydrationRejectionIsCountedAndRecovered) {
 
 TEST(WarmStartTest, InvalidateCachedResultsRemovesEntryFiles) {
   Fixture fx;
-  SelectorOptions options = fx.Options(StrategyKind::kDfs);
+  TuningConfig options = fx.Options(StrategyKind::kDfs);
   options.cache.cache_dir = TempCacheDir("warm_start_invalidate");
   TuningSession session(&fx.store, &fx.dict, options);
   ASSERT_TRUE(session.Update(fx.initial).ok());
@@ -846,7 +846,7 @@ TEST(WarmStartTest, InvalidateCachedResultsRemovesEntryFiles) {
 
 TEST(SerializeParallelTest, ConcurrentSessionsShareOneDirectory) {
   Fixture fx;
-  SelectorOptions options = fx.Options(StrategyKind::kDfs);
+  TuningConfig options = fx.Options(StrategyKind::kDfs);
   options.cache.cache_dir = TempCacheDir("parallel_shared_dir");
 
   // Several sessions race over the same cold directory: contention must
@@ -887,7 +887,7 @@ TEST(SerializeParallelTest, ConcurrentSessionsShareOneDirectory) {
 
 TEST(SerializeParallelTest, ConcurrentPutGetOnOneBackend) {
   Fixture fx;
-  SelectorOptions options = fx.Options(StrategyKind::kDfs);
+  TuningConfig options = fx.Options(StrategyKind::kDfs);
   SearchedPartitions searched =
       RunPartitionSearches(fx.store, fx.dict, fx.initial, options);
   ASSERT_GE(searched.results.size(), 2u);

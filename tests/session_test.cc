@@ -58,9 +58,9 @@ struct SessionFixture {
   /// runs cost states under bit-identical weights (the session freezes cm
   /// after its first update; a scratch run over a different workload would
   /// calibrate differently).
-  SelectorOptions Options(StrategyKind strategy,
-                          size_t num_threads = 1) const {
-    SelectorOptions options;
+  TuningConfig Options(StrategyKind strategy,
+                       size_t num_threads = 1) const {
+    TuningConfig options;
     options.strategy = strategy;
     options.limits.num_threads = num_threads;
     options.auto_calibrate_cm = false;
@@ -68,7 +68,7 @@ struct SessionFixture {
   }
 
   Recommendation Scratch(const std::vector<cq::ConjunctiveQuery>& workload,
-                         const SelectorOptions& options) const {
+                         const TuningConfig& options) const {
     ViewSelector selector(&store, &dict);
     Result<Recommendation> rec = selector.Recommend(workload, options);
     EXPECT_TRUE(rec.ok()) << rec.status().ToString();
@@ -93,7 +93,7 @@ class SessionEquivalenceTest : public ::testing::TestWithParam<StrategyKind> {
 
 TEST_P(SessionEquivalenceTest, FirstUpdateMatchesOneShotRecommend) {
   SessionFixture fx;
-  SelectorOptions options = fx.Options(GetParam());
+  TuningConfig options = fx.Options(GetParam());
   TuningSession session(&fx.store, &fx.dict, options);
   Result<Recommendation> rec = session.Update(fx.initial);
   ASSERT_TRUE(rec.ok()) << rec.status().ToString();
@@ -106,7 +106,7 @@ TEST_P(SessionEquivalenceTest, FirstUpdateMatchesOneShotRecommend) {
 
 TEST_P(SessionEquivalenceTest, IncrementalAddMatchesScratch) {
   SessionFixture fx;
-  SelectorOptions options = fx.Options(GetParam());
+  TuningConfig options = fx.Options(GetParam());
   TuningSession session(&fx.store, &fx.dict, options);
   ASSERT_TRUE(session.Update(fx.initial).ok());
 
@@ -127,7 +127,7 @@ TEST_P(SessionEquivalenceTest, IncrementalAddMatchesScratch) {
 
 TEST_P(SessionEquivalenceTest, RemoveThenReaddServesFromCache) {
   SessionFixture fx;
-  SelectorOptions options = fx.Options(GetParam());
+  TuningConfig options = fx.Options(GetParam());
   TuningSession session(&fx.store, &fx.dict, options);
   Result<Recommendation> rec0 = session.Update(fx.initial);
   ASSERT_TRUE(rec0.ok()) << rec0.status().ToString();
@@ -155,7 +155,7 @@ TEST_P(SessionEquivalenceTest, RemoveThenReaddServesFromCache) {
 
 TEST_P(SessionEquivalenceTest, RecommendationAnswersGroundTruth) {
   SessionFixture fx;
-  SelectorOptions options = fx.Options(GetParam());
+  TuningConfig options = fx.Options(GetParam());
   TuningSession session(&fx.store, &fx.dict, options);
   ASSERT_TRUE(session.Update(fx.initial).ok());
   Result<Recommendation> rec = session.Update(fx.delta);
@@ -239,7 +239,7 @@ TEST_P(SessionCancelTest, PreStoppedTokenBoundsExpansions) {
 
   StopSource stop;
   stop.RequestStop();
-  SelectorOptions options;
+  TuningConfig options;
   options.strategy = GetParam();
   options.limits.stop = stop.token();
 
@@ -281,7 +281,7 @@ TEST_P(SessionParallelCancelTest, CancelMidFlightReturnsCurrentBest) {
   rdf::TripleStore store =
       workload::GenerateStoreForWorkload(workload, &dict, 2000, 7);
 
-  SelectorOptions options;
+  TuningConfig options;
   options.strategy = strategy;
   options.limits.num_threads = num_threads;
   std::atomic<uint64_t> events{0};
@@ -334,7 +334,7 @@ TEST(SessionParallelCompetitorCancelTest, CancelStopsCompetitorSearch) {
   rdf::TripleStore store =
       workload::GenerateStoreForWorkload(workload, &dict, 2000, 7);
 
-  SelectorOptions options;
+  TuningConfig options;
   options.strategy = StrategyKind::kPruning21;
   TuningSession session(&store, &dict, options);
   std::shared_ptr<TuningHandle> handle = session.UpdateAsync(workload);
@@ -348,7 +348,7 @@ TEST(SessionParallelCompetitorCancelTest, CancelStopsCompetitorSearch) {
 
 TEST(SessionTest, CancelledPartitionsStayDirtyAndRecover) {
   SessionFixture fx;
-  SelectorOptions options = fx.Options(StrategyKind::kDfs);
+  TuningConfig options = fx.Options(StrategyKind::kDfs);
   StopSource stop;
   stop.RequestStop();
   options.limits.stop = stop.token();
@@ -376,7 +376,7 @@ TEST(SessionTest, CancelledPartitionsStayDirtyAndRecover) {
 
 TEST(SessionParallelAsyncTest, AsyncMatchesSyncAndReportsProgress) {
   SessionFixture fx;
-  SelectorOptions options = fx.Options(StrategyKind::kDfs, 8);
+  TuningConfig options = fx.Options(StrategyKind::kDfs, 8);
   TuningSession session(&fx.store, &fx.dict, options);
   std::shared_ptr<TuningHandle> handle = session.UpdateAsync(fx.initial);
   Result<Recommendation> rec = handle->Wait();
@@ -402,7 +402,7 @@ TEST(SessionParallelAsyncTest, CallerTokenComposesWithHandleToken) {
   rdf::TripleStore store =
       workload::GenerateStoreForWorkload(workload, &dict, 2000, 7);
   StopSource caller_stop;
-  SelectorOptions options;
+  TuningConfig options;
   options.strategy = StrategyKind::kExNaive;
   options.limits.stop = caller_stop.token();
 
@@ -423,7 +423,7 @@ TEST(SessionParallelAsyncTest, DroppingHandleMidRunCancelsAndJoins) {
   std::vector<cq::ConjunctiveQuery> workload = HugeSpaceWorkload(&dict);
   rdf::TripleStore store =
       workload::GenerateStoreForWorkload(workload, &dict, 2000, 7);
-  SelectorOptions options;
+  TuningConfig options;
   options.strategy = StrategyKind::kExNaive;
   options.limits.num_threads = 8;
   // Budget only so the follow-up Recommend below terminates; the drop
@@ -448,7 +448,7 @@ TEST(SessionParallelAsyncTest, SecondUpdateWhileInFlightIsRejected) {
   std::vector<cq::ConjunctiveQuery> workload = HugeSpaceWorkload(&dict);
   rdf::TripleStore store =
       workload::GenerateStoreForWorkload(workload, &dict, 2000, 7);
-  SelectorOptions options;
+  TuningConfig options;
   options.strategy = StrategyKind::kExNaive;
 
   TuningSession session(&store, &dict, options);
@@ -492,7 +492,7 @@ struct RetryEventLog {
 
 TEST(SessionRetryEventsTest, RecoveryEmitsFailedRetryDoneInOrder) {
   SessionFixture fx;
-  SelectorOptions options = fx.Options(StrategyKind::kDfs);  // serial
+  TuningConfig options = fx.Options(StrategyKind::kDfs);  // serial
   options.robust.retry.max_attempts = 3;
   options.robust.retry.initial_backoff_sec = 0.001;
   options.robust.retry.max_backoff_sec = 0.002;
@@ -534,7 +534,7 @@ TEST(SessionRetryEventsTest, RecoveryEmitsFailedRetryDoneInOrder) {
 
 TEST(SessionRetryEventsTest, AbandonmentEventsAndAsyncProgressCounters) {
   SessionFixture fx;
-  SelectorOptions options = fx.Options(StrategyKind::kDfs);
+  TuningConfig options = fx.Options(StrategyKind::kDfs);
   options.robust.retry.max_attempts = 2;
   options.robust.retry.initial_backoff_sec = 0.001;
   options.robust.retry.max_backoff_sec = 0.002;
@@ -582,7 +582,7 @@ TEST(SessionRetryEventsTest, AbandonmentEventsAndAsyncProgressCounters) {
 
 TEST(SessionTest, EarlyFinishersRegrantTimeBudget) {
   SessionFixture fx;
-  SelectorOptions options = fx.Options(StrategyKind::kGstr);
+  TuningConfig options = fx.Options(StrategyKind::kGstr);
   // A generous budget the tiny partitions exhaust their spaces well
   // within: the early finishers' leftover flows to the later partitions.
   options.limits.time_budget_sec = 5.0;

@@ -315,8 +315,8 @@ struct TelemetryFixture {
     store = workload::GenerateStoreForWorkload(all, &dict, 3000, 42);
   }
 
-  vsel::SelectorOptions Options() const {
-    vsel::SelectorOptions options;
+  vsel::TuningConfig Options() const {
+    vsel::TuningConfig options;
     options.strategy = vsel::StrategyKind::kDfs;
     options.auto_calibrate_cm = false;
     return options;
@@ -416,7 +416,7 @@ TEST(SessionTelemetryTest, IncrementalUpdateAnnotatesReuse) {
 
 TEST(SessionTelemetryTest, TracingDisabledYieldsNoBundle) {
   TelemetryFixture fx;
-  vsel::SelectorOptions options = fx.Options();
+  vsel::TuningConfig options = fx.Options();
   options.telemetry.trace = false;
   vsel::TuningSession session(&fx.store, &fx.dict, options);
   Result<vsel::Recommendation> rec = session.Update(fx.initial);
@@ -427,7 +427,7 @@ TEST(SessionTelemetryTest, TracingDisabledYieldsNoBundle) {
 
 TEST(SessionTelemetryTest, MidFlightCancelKeepsTreeBalanced) {
   TelemetryFixture fx;
-  vsel::SelectorOptions options = fx.Options();
+  vsel::TuningConfig options = fx.Options();
   // A large workload so the cancel lands mid-search at least sometimes;
   // correctness here is balance, not timing.
   workload::WorkloadSpec spec;
@@ -462,7 +462,7 @@ class ChaosTelemetryTest : public ::testing::Test {
 
 TEST_F(ChaosTelemetryTest, SpanTreeBalancedUnderInjectedFaults) {
   TelemetryFixture fx;
-  vsel::SelectorOptions options = fx.Options();
+  vsel::TuningConfig options = fx.Options();
   options.robust.retry.max_attempts = 2;
   options.robust.retry.initial_backoff_sec = 0.001;
   options.robust.retry.max_backoff_sec = 0.002;
@@ -509,7 +509,7 @@ TEST_F(ChaosTelemetryTest, SpanTreeBalancedUnderInjectedFaults) {
 
 TEST_F(ChaosTelemetryTest, CacheInvariantHoldsUnderDirBackendFaults) {
   TelemetryFixture fx;
-  vsel::SelectorOptions options = fx.Options();
+  vsel::TuningConfig options = fx.Options();
   options.cache.cache_dir = TempCacheDir("telemetry_dir_faults");
 
   // Fail some directory-backend reads and writes: io_failures and

@@ -42,7 +42,7 @@ struct Fixture {
   rdf::Dictionary dict;
   std::vector<cq::ConjunctiveQuery> workload;
   rdf::TripleStore store;
-  SelectorOptions options;
+  TuningConfig options;
   pipeline::PartitionPlan plan;
   std::vector<pipeline::PartitionSearchResult> results;
   CacheIdentity identity;

@@ -454,7 +454,7 @@ TEST_F(VseldDaemonTest, FullSessionLifecycleOverSocket) {
   Client client = MustConnect("tenant");
   EXPECT_TRUE(client.Ping().ok());
 
-  vsel::SelectorOptions options;
+  vsel::TuningConfig options;
   options.auto_calibrate_cm = false;
   Result<uint64_t> session = client.OpenSession("default", options);
   ASSERT_TRUE(session.ok()) << session.status().ToString();
@@ -512,7 +512,7 @@ TEST_F(VseldDaemonTest, TelemetryBothFormats) {
 
 TEST_F(VseldDaemonTest, RejectsUnknownStoreSessionAndEmptyClient) {
   Client client = MustConnect("tenant");
-  vsel::SelectorOptions options;
+  vsel::TuningConfig options;
   Result<uint64_t> bad_store = client.OpenSession("nope", options);
   EXPECT_EQ(bad_store.status().code(), StatusCode::kNotFound);
   Result<vsel::TuningProgress> bad_session = client.Poll(4242);
@@ -524,7 +524,7 @@ TEST_F(VseldDaemonTest, RejectsUnknownStoreSessionAndEmptyClient) {
 
 TEST_F(VseldDaemonTest, QuotaRejectionOverTheWire) {
   Client client = MustConnect("bounded");
-  vsel::SelectorOptions options;
+  vsel::TuningConfig options;
   std::vector<uint64_t> ids;
   for (size_t i = 0; i < 4; ++i) {
     Result<uint64_t> sid = client.OpenSession("default", options);
@@ -539,7 +539,7 @@ TEST_F(VseldDaemonTest, QuotaRejectionOverTheWire) {
 
 TEST_F(VseldDaemonTest, SubscribeStreamsEventsThenTerminal) {
   Client control = MustConnect("tenant");
-  vsel::SelectorOptions options;
+  vsel::TuningConfig options;
   options.auto_calibrate_cm = false;
   Result<uint64_t> session = control.OpenSession("default", options);
   ASSERT_TRUE(session.ok());
@@ -568,7 +568,7 @@ TEST_F(VseldDaemonTest, SubscribeStreamsEventsThenTerminal) {
 
 TEST_F(VseldDaemonTest, CancelReturnsPromptlyWithValidBest) {
   Client client = MustConnect("tenant");
-  vsel::SelectorOptions options;
+  vsel::TuningConfig options;
   options.auto_calibrate_cm = false;
   options.limits.max_states = 50000000;  // would search a very long time
   Result<uint64_t> session = client.OpenSession("default", options);
@@ -591,7 +591,7 @@ TEST_F(VseldDaemonTest, CancelReturnsPromptlyWithValidBest) {
 
 TEST_F(VseldDaemonTest, ShutdownVerbWakesOwnerAndDrainReapsSessions) {
   Client client = MustConnect("tenant");
-  vsel::SelectorOptions options;
+  vsel::TuningConfig options;
   Result<uint64_t> session = client.OpenSession("default", options);
   ASSERT_TRUE(session.ok());
   EXPECT_FALSE(daemon_->WaitShutdownRequested(0));
@@ -605,7 +605,7 @@ TEST_F(VseldDaemonTest, ShutdownVerbWakesOwnerAndDrainReapsSessions) {
 }
 
 TEST_F(VseldDaemonTest, SessionSurvivesReconnect) {
-  vsel::SelectorOptions options;
+  vsel::TuningConfig options;
   options.auto_calibrate_cm = false;
   uint64_t session_id = 0;
   {
@@ -628,7 +628,7 @@ TEST_F(VseldDaemonTest, SessionSurvivesReconnect) {
 
 TEST_F(VseldDaemonTest, InjectedSessionRunFaultIsContained) {
   Client client = MustConnect("tenant");
-  vsel::SelectorOptions options;
+  vsel::TuningConfig options;
   options.auto_calibrate_cm = false;
   Result<uint64_t> session = client.OpenSession("default", options);
   ASSERT_TRUE(session.ok());
@@ -705,7 +705,7 @@ TEST(VseldParallelTest, ConcurrentClientsFullLifecycle) {
         Result<Client> c =
             Client::Connect(socket_path, "worker-" + std::to_string(w % 3));
         if (!c.ok()) return;
-        vsel::SelectorOptions opt;
+        vsel::TuningConfig opt;
         opt.auto_calibrate_cm = false;
         Result<uint64_t> sid = c->OpenSession("default", opt);
         if (!sid.ok()) return;
@@ -753,7 +753,7 @@ TEST(VseldParallelTest, StopWithInflightUpdatesNeverHangs) {
 
   Result<Client> c = Client::Connect(socket_path, "drainee");
   ASSERT_TRUE(c.ok());
-  vsel::SelectorOptions opt;
+  vsel::TuningConfig opt;
   opt.auto_calibrate_cm = false;
   opt.limits.max_states = 50000000;  // far beyond the drain's patience
   Result<uint64_t> sid = c->OpenSession("default", opt);

@@ -130,7 +130,7 @@ int main(int argc, char** argv) {
   const uint64_t session =
       static_cast<uint64_t>(flags.GetInt("session", 0));
 
-  vsel::SelectorOptions options;
+  vsel::TuningConfig options;
   options.limits.time_budget_sec = flags.GetDouble("time-budget-sec", 5);
   options.limits.max_states =
       static_cast<size_t>(flags.GetInt("max-states", 200000));
