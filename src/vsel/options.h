@@ -42,10 +42,9 @@ struct HeuristicOptions {
   bool stop_tt = false;
   /// View-break overlap budget: 0 enumerates only partitions into two
   /// connected components; 1 additionally allows covers sharing one node
-  /// (Def. 3.2 allows arbitrary overlapping covers; see DESIGN.md).
+  /// (Def. 3.2 allows arbitrary overlapping covers; see DESIGN.md). Views
+  /// of more than 14 atoms only get partition-style view breaks.
   int vb_overlap = 1;
-  /// Views larger than this only get partition-style view breaks.
-  size_t vb_overlap_max_atoms = 14;
 };
 
 /// One observable event of a running recommendation. Emitted through
@@ -103,26 +102,18 @@ struct SearchLimits {
   /// > 1 routes EXNAIVE/EXSTR/DFS/GSTR through the parallel frontier
   /// engine (src/vsel/parallel/): sharded frontiers, a concurrent
   /// fingerprint-keyed seen-set, and a deterministically tie-broken global
-  /// best, so a run that exhausts the space reports the same best state at
-  /// any thread count. The [21] competitor strategies are inherently
-  /// sequential (query-by-query combination) and always run serial.
+  /// best, so a run that exhausts the space admits the same distinct
+  /// view-set states at any thread count. The reported best can still
+  /// differ across thread counts when two arrival paths build different
+  /// (equally valid) rewriting plans for the same view set: states are
+  /// deduplicated by their view-set fingerprint, and the cost of the plan
+  /// that happened to arrive first is the one recorded. The [21]
+  /// competitor strategies are inherently sequential (query-by-query
+  /// combination) and always run serial. In the pipeline, when more than
+  /// one partition is searched, the partitions are the unit of parallelism
+  /// instead: they run concurrently on a pool of up to this many workers,
+  /// each search serial (pipeline::FanOutPartitions).
   size_t num_threads = 1;
-  /// DFS only: cap on the VB-stratum recursion depth along a search path.
-  /// Once a path has applied this many view breaks, the VB stratum is
-  /// skipped and the state advances to SC directly — so a 10-atom view's
-  /// exponential VB closure cannot starve the SC/JC/VF strata under a
-  /// finite time budget. Changes which states a truncated DFS reaches, so
-  /// the value participates in the session-cache identity. 0 (default) =
-  /// unlimited, the paper's exact DFS. Serial and parallel DFS apply the
-  /// cap identically: duplicate detection ranks revisits by the remaining
-  /// VB budget (internal::DfsDedupRank), so a capped run that exhausts its
-  /// space admits the same distinct view-set states at every thread
-  /// count. The reported best can still differ across thread counts when
-  /// two arrival paths build different (equally valid) rewriting plans
-  /// for the same view set: states are deduplicated by their view-set
-  /// fingerprint, and the cost of the plan that happened to arrive first
-  /// is the one recorded.
-  size_t max_vb_depth = 0;
   /// Cooperative cancellation: every engine (serial, parallel frontier,
   /// [21] competitors) polls this token wherever it polls the deadline, so
   /// a stop request terminates the search within a bounded number of state
@@ -143,38 +134,23 @@ struct PartitionOptions {
   /// Partition the workload before searching. Disabled, or when the split
   /// would be unsound (stop_var off, or a query with a constant-free
   /// component), the pipeline runs one partition over the whole workload —
-  /// exactly the monolithic search.
+  /// exactly the monolithic search. One partition per commonality
+  /// component otherwise.
   bool enabled = true;
-  /// Cap on the number of partitions; components beyond the cap are packed
-  /// into the least-loaded partition (by query count). 0 = one partition
-  /// per commonality component.
-  size_t max_partitions = 0;
-  /// Run per-partition searches concurrently on a worker pool when
-  /// SearchLimits::num_threads > 1 and more than one partition exists (each
-  /// partition search then runs serially). With a single partition, the
-  /// parallel frontier engine keeps num_threads instead.
-  bool parallel_partitions = true;
 };
 
-/// Per-partition retry policy of pipeline stage 3 (and, with the backend
-/// knobs in SessionCacheOptions, of the RetryingCacheBackend decorator): a
-/// failed attempt is retried up to max_attempts total tries, sleeping an
-/// exponentially growing, deterministically jittered backoff in between.
-/// Backoffs and retry attempts are budget-aware: a partition never sleeps
-/// or re-searches past its apportioned time slice.
+/// Per-partition retry policy of pipeline stage 3: a failed attempt is
+/// retried up to max_attempts total tries, sleeping 5 ms x 2^(k-2) before
+/// attempt k, scaled by a jitter factor in [0.5, 1.0] drawn
+/// deterministically from (partition, attempt) and capped at 250 ms
+/// (robust::BackoffDelaySec). Backoffs and retry attempts are
+/// budget-aware: a partition never sleeps or re-searches past its
+/// apportioned time slice.
 struct RetryPolicy {
   /// Total attempts per partition, including the first (1 = never retry —
   /// the default, so a deterministic failure is not paid for twice unless
   /// the caller opts in).
   size_t max_attempts = 1;
-  /// Backoff before retry k (k >= 2): initial * multiplier^(k-2), scaled
-  /// by a jitter factor in [0.5, 1.0] drawn deterministically from
-  /// (jitter_seed, partition, attempt), capped at max_backoff_sec, and
-  /// clipped to the partition's remaining time budget.
-  double initial_backoff_sec = 0.005;
-  double backoff_multiplier = 2.0;
-  double max_backoff_sec = 0.25;
-  uint64_t jitter_seed = 0x5eedull;
 };
 
 /// Failure-containment knobs of the recommendation pipeline. Stage 3 always
@@ -195,10 +171,16 @@ struct RobustnessOptions {
   double partition_deadline_sec = 0;
 };
 
-/// Storage knobs of a TuningSession's per-partition result cache (see
+/// Storage of a TuningSession's per-partition result cache (see
 /// vsel/serialize/partition_cache.h). The cache maps canonical workload
-/// keys to completed search outcomes; these options pick where those pairs
-/// live and how many an in-memory backend retains.
+/// keys to completed search outcomes. In-memory backends are trimmed after
+/// every update to the most recently used max(64, 4 x current partitions)
+/// entries: recently retired sub-workloads stay instantly re-addable, but a
+/// drifting log can not grow the session without bound (persistent
+/// backends ignore the trim; the filesystem owns capacity there). A caller
+/// that wants transient storage failures retried, behind a circuit
+/// breaker, wraps its backend in a robust::RetryingCacheBackend and passes
+/// that to the TuningSession constructor.
 struct SessionCacheOptions {
   /// When non-empty, partition results persist as one identity-tagged file
   /// per canonical key under this directory (DirCacheBackend): they survive
@@ -214,31 +196,6 @@ struct SessionCacheOptions {
   /// never read it — only multi-update sessions warm-start, from their
   /// second update on.
   std::string cache_dir;
-  /// In-memory backends are trimmed after every update to
-  /// max(lru_floor, lru_per_partition x current partitions) entries,
-  /// evicting least-recently-used keys: recently retired sub-workloads stay
-  /// instantly re-addable, but a drifting log can not grow the session
-  /// without bound. Persistent backends ignore the trim (the filesystem
-  /// owns capacity there).
-  size_t lru_floor = 64;
-  size_t lru_per_partition = 4;
-  /// Wrap the session's backend (self-constructed *or* caller-supplied) in
-  /// a robust::RetryingCacheBackend: transient storage failures are retried
-  /// with deterministic backoff, and a run of consecutive failures opens a
-  /// circuit breaker that skips the backend entirely (counted) until a
-  /// half-open probe succeeds — so a wedged shared filesystem costs one
-  /// timeout per breaker window, not one per partition. Off by default;
-  /// the knobs below only apply when set.
-  bool robust_backend = false;
-  /// Attempts per backend operation (including the first).
-  size_t backend_retry_attempts = 3;
-  /// Initial backoff between backend retries (doubles per retry, jittered
-  /// deterministically, capped at 16x).
-  double backend_retry_backoff_sec = 0.002;
-  /// Consecutive failures (across operations) that open the breaker.
-  size_t breaker_failure_threshold = 5;
-  /// How long an open breaker skips the backend before a half-open probe.
-  double breaker_open_sec = 1.0;
 };
 
 /// Observability knobs (src/common/telemetry/). Metrics are process-wide
@@ -306,9 +263,9 @@ struct TuningConfig {
   std::shared_ptr<pipeline::PartitionExecutor> executor;
 
   /// Rejects configurations no layer could honor, naming the offending
-  /// field: negative budgets and backoffs, zero floors (retry attempts,
-  /// LRU capacities — max_states stays 0 = unlimited), and conflicting
-  /// cache / partition knob combinations. Every entry point that accepts a
+  /// field: negative or non-finite budgets, deadlines and weights, a
+  /// negative view-break overlap, and zero retry attempts (max_states
+  /// stays 0 = unlimited). Every entry point that accepts a
   /// TuningConfig (TuningSession, pipeline::Run, ViewSelector::Recommend,
   /// and the vseld open-session / dispatch-partition verbs) validates
   /// before doing any work, so a bad config fails fast with the same

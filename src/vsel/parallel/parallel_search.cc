@@ -150,7 +150,6 @@ struct DfsTask {
   std::vector<Transition> ts;
   int kind = 0;
   bool advance_after = false;
-  size_t vb_depth = 0;
 };
 
 /// The serial DfsVisit against the shared context: closure under the
@@ -161,22 +160,13 @@ struct DfsTask {
 /// recurses into just the current child. The explored *set* is unchanged —
 /// the donated task performs exactly the work the donor skips — so the
 /// deterministic (cost, fingerprint) best of a completed run is preserved.
-/// `vb_depth`/`depth` mirror the serial engine: VB-stratum recursion depth
-/// for the max_vb_depth cap, and the per-depth transition-buffer index.
+/// `depth` mirrors the serial engine's per-depth transition-buffer index.
 void DfsVisitDeep(ParallelSearchContext* ctx,
                   ShardedFrontier<DfsTask>* frontier,
                   TransitionBufferPool* pool, Arena* arena, const State& s,
-                  int kind, size_t vb_depth, size_t depth,
-                  SearchStats* local) {
+                  int kind, size_t depth, SearchStats* local) {
   if (kind >= internal::kNumPhases) {
     ++local->explored;
-    return;
-  }
-  if (kind == static_cast<int>(TransitionKind::kVB) &&
-      ctx->limits.max_vb_depth > 0 &&
-      vb_depth >= ctx->limits.max_vb_depth) {
-    DfsVisitDeep(ctx, frontier, pool, arena, s, kind + 1, vb_depth, depth,
-                 local);
     return;
   }
   TransitionBuffer& buf = pool->At(depth);
@@ -185,7 +175,8 @@ void DfsVisitDeep(ParallelSearchContext* ctx,
                            &buf);
   for (size_t i = 0; i < buf.size(); ++i) {
     if (ctx->OutOfBudget()) return;
-    if (i + 1 < buf.size() && frontier->Starving()) {
+    const bool donate = i + 1 < buf.size() && frontier->Starving();
+    if (donate) {
       // Donate the unexplored tail siblings and this node's advance to the
       // next stratum; keep only buf[i]'s subtree for ourselves. The base
       // state is copied to worker-independent heap storage (the donee
@@ -195,33 +186,19 @@ void DfsVisitDeep(ParallelSearchContext* ctx,
       rest.ts.assign(buf.begin() + i + 1, buf.end());
       rest.kind = kind;
       rest.advance_after = true;
-      rest.vb_depth = vb_depth;
       frontier->Push(ShardHint(s.fingerprint()), std::move(rest));
       DonationCounter()->Add(1);
-      const size_t child_vb =
-          vb_depth + (kind == static_cast<int>(TransitionKind::kVB));
-      auto admitted = ctx->Admit(
-          ApplyTransition(s, buf[i], arena),
-          internal::DfsDedupRank(ctx->limits, kind, child_vb), local, arena);
-      if (admitted.has_value()) {
-        DfsVisitDeep(ctx, frontier, pool, arena, admitted->state, kind,
-                     child_vb, depth + 1, local);
-      }
-      return;  // the donated task owns the rest of this node's work
     }
-    const size_t child_vb =
-        vb_depth + (kind == static_cast<int>(TransitionKind::kVB));
-    auto admitted = ctx->Admit(
-        ApplyTransition(s, buf[i], arena),
-        internal::DfsDedupRank(ctx->limits, kind, child_vb), local, arena);
+    auto admitted =
+        ctx->Admit(ApplyTransition(s, buf[i], arena), kind, local, arena);
     if (admitted.has_value()) {
       DfsVisitDeep(ctx, frontier, pool, arena, admitted->state, kind,
-                   child_vb, depth + 1, local);
+                   depth + 1, local);
     }
+    if (donate) return;  // the donated task owns the rest of this node's work
   }
   if (ctx->OutOfBudget()) return;
-  DfsVisitDeep(ctx, frontier, pool, arena, s, kind + 1, vb_depth, depth,
-               local);
+  DfsVisitDeep(ctx, frontier, pool, arena, s, kind + 1, depth, local);
 }
 
 /// Processes one claimed task: applies each sibling transition and explores
@@ -234,43 +211,27 @@ void ProcessDfsTask(ParallelSearchContext* ctx,
   const State& base = task.base ? *task.base : ctx->start;
   for (size_t i = 0; i < task.ts.size(); ++i) {
     if (ctx->OutOfBudget()) return;
-    if (i + 1 < task.ts.size() && frontier->Starving()) {
+    const bool donate = i + 1 < task.ts.size() && frontier->Starving();
+    if (donate) {
       DfsTask rest;
       rest.base = task.base;  // shared; null still means ctx->start
       rest.ts.assign(task.ts.begin() + i + 1, task.ts.end());
       rest.kind = task.kind;
       rest.advance_after = task.advance_after;
-      rest.vb_depth = task.vb_depth;
       frontier->Push(ShardHint(base.fingerprint()), std::move(rest));
       DonationCounter()->Add(1);
-      const size_t child_vb =
-          task.vb_depth +
-          (task.kind == static_cast<int>(TransitionKind::kVB));
-      auto admitted = ctx->Admit(
-          ApplyTransition(base, task.ts[i], arena),
-          internal::DfsDedupRank(ctx->limits, task.kind, child_vb), local,
-          arena);
-      if (admitted.has_value()) {
-        DfsVisitDeep(ctx, frontier, pool, arena, admitted->state, task.kind,
-                     child_vb, 0, local);
-      }
-      return;  // the re-split task owns the remaining siblings/advance
     }
-    const size_t child_vb =
-        task.vb_depth + (task.kind == static_cast<int>(TransitionKind::kVB));
-    auto admitted = ctx->Admit(
-        ApplyTransition(base, task.ts[i], arena),
-        internal::DfsDedupRank(ctx->limits, task.kind, child_vb), local,
-        arena);
+    auto admitted = ctx->Admit(ApplyTransition(base, task.ts[i], arena),
+                               task.kind, local, arena);
     if (admitted.has_value()) {
-      DfsVisitDeep(ctx, frontier, pool, arena, admitted->state, task.kind,
-                   child_vb, 0, local);
+      DfsVisitDeep(ctx, frontier, pool, arena, admitted->state, task.kind, 0,
+                   local);
     }
+    if (donate) return;  // the re-split task owns the remaining siblings
   }
   if (task.advance_after) {
     if (ctx->OutOfBudget()) return;
-    DfsVisitDeep(ctx, frontier, pool, arena, base, task.kind + 1,
-                 task.vb_depth, 0, local);
+    DfsVisitDeep(ctx, frontier, pool, arena, base, task.kind + 1, 0, local);
   }
 }
 
@@ -288,7 +249,7 @@ SearchResult RunParallelDfs(ParallelSearchContext* ctx, const State& s0,
     for (const Transition& t : seed_buf) {
       // Round-robin over shards; single-transition seeds, no advance (the
       // root's ladder is walked by the seed loop itself).
-      frontier.Push(seeds++, DfsTask{nullptr, {t}, k, false, 0});
+      frontier.Push(seeds++, DfsTask{nullptr, {t}, k, false});
     }
   }
   {

@@ -178,9 +178,11 @@ Result<Recommendation> MergePartitions(
       merged.SetRewritings(std::move(rewritings));
     }
 
-    // Did stage 3 run the partitions concurrently? (Mirrors its policy.)
-    const bool fanned_out = options.partition.parallel_partitions &&
-                            options.limits.num_threads > 1;
+    // Did stage 3 run the partitions concurrently? Without a report, every
+    // partition was searched.
+    const size_t searched =
+        report != nullptr ? report->partitions_searched : results.size();
+    const bool fanned_out = FanOutPartitions(options, searched);
     SearchStats stats;
     std::vector<double> start_offsets(results.size(), 0.0);
     if (!fanned_out) {
@@ -221,8 +223,7 @@ Result<Recommendation> MergePartitions(
     // actual worker count (a pool smaller than the partition count runs
     // ~pool_size slices concurrently, not all of them).
     if (fanned_out) {
-      const size_t pool_size =
-          std::min(options.limits.num_threads, results.size());
+      const size_t pool_size = std::min(options.limits.num_threads, searched);
       stats.elapsed_sec = std::max(
           elapsed_max, elapsed_sum / static_cast<double>(pool_size));
     } else {

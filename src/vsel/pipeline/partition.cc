@@ -16,61 +16,17 @@
 // stage's single-minimization pass (IngestResult::minimized); so do the
 // canonical per-query keys this stage concatenates into the per-group
 // canonical workload keys that identify "the same sub-workload" across
-// tuning-session updates. A hand-built IngestResult without the minimized
-// vector (tests, external drivers) falls back to minimizing locally.
-#include <algorithm>
+// tuning-session updates.
 #include <numeric>
 #include <unordered_map>
 
 #include "common/disjoint_sets.h"
+#include "common/logging.h"
 #include "vsel/pipeline/pipeline.h"
 
 namespace rdfviews::vsel::pipeline {
 
 namespace {
-
-/// The ingest stage's minimized vector, or a locally computed equivalent
-/// when the caller hand-built the IngestResult.
-const std::vector<std::shared_ptr<const MinimizedQuery>>& MinimizedOf(
-    const IngestResult& ingest, const TuningConfig& options,
-    std::vector<std::shared_ptr<const MinimizedQuery>>* local) {
-  if (ingest.minimized.size() == ingest.queries.size()) {
-    return ingest.minimized;
-  }
-  local->reserve(ingest.queries.size());
-  const bool pre_reformulate =
-      options.entailment == EntailmentMode::kPreReformulate &&
-      ingest.reformulated.size() == ingest.queries.size();
-  for (size_t i = 0; i < ingest.queries.size(); ++i) {
-    local->push_back(std::make_shared<const MinimizedQuery>(MinimizeQuery(
-        ingest.queries[i],
-        pre_reformulate ? ingest.reformulated[i].get() : nullptr)));
-  }
-  return *local;
-}
-
-/// Packs `groups` (ordered by first query index) into at most `cap`
-/// partitions: each group goes to the currently least-loaded partition
-/// (query count, ties to the lowest index). Merging components is always
-/// sound — a partition is searched monolithically.
-std::vector<std::vector<size_t>> PackGroups(
-    std::vector<std::vector<size_t>> groups, size_t cap) {
-  if (cap == 0 || groups.size() <= cap) return groups;
-  std::vector<std::vector<size_t>> packed(cap);
-  for (std::vector<size_t>& g : groups) {
-    size_t target = 0;
-    for (size_t i = 1; i < packed.size(); ++i) {
-      if (packed[i].size() < packed[target].size()) target = i;
-    }
-    packed[target].insert(packed[target].end(), g.begin(), g.end());
-  }
-  for (std::vector<size_t>& g : packed) std::sort(g.begin(), g.end());
-  std::sort(packed.begin(), packed.end(),
-            [](const std::vector<size_t>& a, const std::vector<size_t>& b) {
-              return a.front() < b.front();
-            });
-  return packed;
-}
 
 /// Canonical workload key of one group: the member queries' canonical keys
 /// in group (workload) order. Order-sensitive so that a cached partition
@@ -103,9 +59,9 @@ PartitionPlan SingleGroup(
 PartitionPlan PartitionWorkload(const IngestResult& ingest,
                                 const TuningConfig& options) {
   const size_t n = ingest.queries.size();
-  std::vector<std::shared_ptr<const MinimizedQuery>> local;
   const std::vector<std::shared_ptr<const MinimizedQuery>>& minimized =
-      MinimizedOf(ingest, options, &local);
+      ingest.minimized;
+  RDFVIEWS_CHECK(minimized.size() == n);
   if (!options.partition.enabled) {
     return SingleGroup(n, minimized, "partitioning disabled");
   }
@@ -152,8 +108,6 @@ PartitionPlan PartitionWorkload(const IngestResult& ingest,
     if (inserted) plan.groups.emplace_back();
     plan.groups[it->second].push_back(i);
   }
-  plan.groups = PackGroups(std::move(plan.groups),
-                           options.partition.max_partitions);
   plan.group_keys.reserve(plan.groups.size());
   for (const std::vector<size_t>& group : plan.groups) {
     plan.group_keys.push_back(GroupKey(group, minimized));

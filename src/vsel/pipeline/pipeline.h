@@ -110,8 +110,8 @@ struct IngestResult {
   /// The single-minimization cache, aligned with `queries`; see
   /// MinimizedQuery. Shared (not copied) with the SessionCaches entries,
   /// so a session update pays no per-query deep copies for cached
-  /// queries. Later stages fall back to minimizing locally when a caller
-  /// hand-builds an IngestResult without it.
+  /// queries. Stages 2 and 3 require it: a caller that hand-builds an
+  /// IngestResult fills it with MinimizeQuery.
   std::vector<std::shared_ptr<const MinimizedQuery>> minimized;
   /// The statistics provider the cost model reads (owning; kept alive by
   /// the caller for the duration of the run — shared with SessionCaches
@@ -133,7 +133,7 @@ std::string ExactQueryKey(const cq::ConjunctiveQuery& q);
 /// The single-minimization pass for one query (see MinimizedQuery).
 /// `reformulated` is the query's reformulation under kPreReformulate, null
 /// otherwise. Normally run — and cached — by Ingest; exposed for callers
-/// that hand-build an IngestResult (stage 2 falls back to it).
+/// that hand-build an IngestResult.
 MinimizedQuery MinimizeQuery(const cq::ConjunctiveQuery& raw,
                              const cq::UnionOfQueries* reformulated = nullptr);
 
@@ -195,6 +195,15 @@ PartitionPlan PartitionWorkload(const IngestResult& ingest,
 std::vector<SearchLimits> ApportionSearchLimits(
     const SearchLimits& total, const std::vector<size_t>& weights);
 
+/// The one partition-parallelism rule, shared by stage 3 (which runs the
+/// searches) and stage 4 (which reconstructs their wall-clock layout):
+/// partitions are searched concurrently, one serial search per pool task,
+/// iff more than one partition is searched and limits.num_threads > 1.
+/// `partitions_searched` counts the dirty partitions, not the cache-served
+/// ones.
+bool FanOutPartitions(const TuningConfig& options,
+                      size_t partitions_searched);
+
 /// One partition's search outcome.
 struct PartitionSearchResult {
   SearchResult search;
@@ -255,10 +264,10 @@ struct PreseededOutcome {
 /// paper's workload statistics, calibrates cm once over the whole S0 (sum
 /// of the per-partition breakdowns), then searches every partition under
 /// its apportioned budget, re-granting early finishers' unused time through
-/// a TimeBudgetPool. With more than one partition and
-/// limits.num_threads > 1 (and partition.parallel_partitions), partitions
-/// run concurrently as thread-pool tasks, each search serial; a single
-/// partition keeps num_threads for the parallel frontier engine.
+/// a TimeBudgetPool. When FanOutPartitions holds, the searched partitions
+/// run concurrently as thread-pool tasks, each search serial; otherwise
+/// they run back to back, each keeping num_threads for the parallel
+/// frontier engine.
 ///
 /// `preseeded` (optional) is the session's incremental path: when
 /// preseeded[p].result is non-null, partition p's cached outcome — from the

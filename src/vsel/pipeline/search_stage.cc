@@ -53,6 +53,11 @@ namespace {
 /// admit a handful of states before stop_time fires.
 constexpr double kMinTimeBudgetSec = 1e-3;
 
+/// Retry backoff of a failed partition attempt (see RetryPolicy): 5 ms
+/// before the second attempt, doubling per retry, capped at 250 ms.
+constexpr double kRetryBackoffSec = 0.005;
+constexpr double kRetryMaxBackoffSec = 0.25;
+
 /// Apportionment weight of a partition: the estimated enumeration cost of
 /// its initial state, sum over views of 2^atoms (the VB stratum of a
 /// k-atom view explores its view-break lattice, which grows with 2^k; the
@@ -71,40 +76,26 @@ size_t EnumerationCostWeight(const State& s0) {
 
 /// Builds partition `group`'s initial state (the monolithic S0 restricted
 /// to the group's queries, in workload order) from the ingest stage's
-/// cached minimized forms. Mirrors stage 2's fallback: a hand-built
-/// IngestResult without the minimized vector minimizes locally.
+/// cached minimized forms.
 Result<State> MakePartitionInitialState(const IngestResult& ingest,
                                         const std::vector<size_t>& group,
                                         const TuningConfig& options) {
-  const bool have_minimized =
-      ingest.minimized.size() == ingest.queries.size();
-  const bool pre_reformulate =
-      options.entailment == EntailmentMode::kPreReformulate;
-  const bool have_reformulated =
-      ingest.reformulated.size() == ingest.queries.size();
-  auto minimized_of = [&](size_t qi) -> std::shared_ptr<const MinimizedQuery> {
-    if (have_minimized) return ingest.minimized[qi];
-    return std::make_shared<const MinimizedQuery>(MinimizeQuery(
-        ingest.queries[qi],
-        pre_reformulate && have_reformulated
-            ? ingest.reformulated[qi].get()
-            : nullptr));
-  };
-  if (pre_reformulate) {
+  RDFVIEWS_CHECK(ingest.minimized.size() == ingest.queries.size());
+  if (options.entailment == EntailmentMode::kPreReformulate) {
     std::vector<cq::ConjunctiveQuery> queries;
     std::vector<std::vector<cq::ConjunctiveQuery>> disjuncts;
     queries.reserve(group.size());
     disjuncts.reserve(group.size());
     for (size_t qi : group) {
       queries.push_back(ingest.queries[qi]);
-      disjuncts.push_back(minimized_of(qi)->minimized_disjuncts);
+      disjuncts.push_back(ingest.minimized[qi]->minimized_disjuncts);
     }
     return MakeReformulatedInitialStateFromMinimized(queries, disjuncts);
   }
   std::vector<cq::ConjunctiveQuery> minimized;
   minimized.reserve(group.size());
   for (size_t qi : group) {
-    minimized.push_back(minimized_of(qi)->minimized);
+    minimized.push_back(ingest.minimized[qi]->minimized);
   }
   return MakeInitialStateFromMinimized(minimized);
 }
@@ -125,6 +116,11 @@ void CollectWorkloadStatistics(const std::vector<State>& initial_states,
 }
 
 }  // namespace
+
+bool FanOutPartitions(const TuningConfig& options,
+                      size_t partitions_searched) {
+  return partitions_searched > 1 && options.limits.num_threads > 1;
+}
 
 void TimeBudgetPool::Deposit(double sec) {
   if (sec <= 0) return;
@@ -293,17 +289,15 @@ Result<std::vector<PartitionOutcome>> SearchPartitions(
 
   std::vector<SearchLimits> limits =
       ApportionSearchLimits(options.limits, weights);
-  const bool fan_out = dirty.size() > 1 &&
-                       options.partition.parallel_partitions &&
-                       options.limits.num_threads > 1;
+  const bool fan_out = FanOutPartitions(options, dirty.size());
   for (SearchLimits& l : limits) {
     // Partitions are the unit of parallelism when there are several; a
     // single partition keeps the parallel frontier engine instead.
     l.num_threads = fan_out ? 1 : options.limits.num_threads;
   }
 
-  const RetryPolicy& retry = options.robust.retry;
-  const size_t max_attempts = std::max<size_t>(retry.max_attempts, 1);
+  const size_t max_attempts =
+      std::max<size_t>(options.robust.retry.max_attempts, 1);
   const double deadline_sec = options.robust.partition_deadline_sec;
   robust::Watchdog watchdog;
 
@@ -468,7 +462,8 @@ Result<std::vector<PartitionOutcome>> SearchPartitions(
       emit(ProgressEvent::Kind::kPartitionFailed, p, attempt, 0,
            wall_spent());
       if (attempt >= max_attempts || user_stopped) break;
-      double backoff = robust::BackoffDelaySec(retry, p, attempt + 1);
+      double backoff = robust::BackoffDelaySec(
+          kRetryBackoffSec, kRetryMaxBackoffSec, p, attempt + 1);
       if (slice > 0) {
         const double left = slice - wall_spent();
         if (left < kMinTimeBudgetSec) break;  // no room for another try

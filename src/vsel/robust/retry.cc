@@ -8,22 +8,23 @@
 
 namespace rdfviews::vsel::robust {
 
-double BackoffDelaySec(const RetryPolicy& policy, uint64_t stream,
+double BackoffDelaySec(double initial_sec, double max_sec, uint64_t stream,
                        size_t attempt) {
   if (attempt < 2) return 0;
-  if (policy.initial_backoff_sec <= 0) return 0;
-  double delay = policy.initial_backoff_sec;
+  if (initial_sec <= 0) return 0;
+  double delay = initial_sec;
   for (size_t k = 2; k < attempt; ++k) {
-    delay *= policy.backoff_multiplier;
-    if (delay >= policy.max_backoff_sec) break;  // further growth is moot
+    delay *= 2;
+    if (delay >= max_sec) break;  // further growth is moot
   }
-  // Uniform in [0.5, 1.0] from (seed, stream, attempt): deterministic per
-  // plan, decorrelated across streams.
+  // Uniform in [0.5, 1.0] from (stream, attempt): deterministic per plan,
+  // decorrelated across streams.
+  constexpr uint64_t kJitterSeed = 0x5eed;
   const uint64_t u =
-      Mix64(policy.jitter_seed ^ Mix64(stream ^ (uint64_t{attempt} << 32)));
+      Mix64(kJitterSeed ^ Mix64(stream ^ (uint64_t{attempt} << 32)));
   const double unit = static_cast<double>(u >> 11) * 0x1.0p-53;
   delay *= 0.5 + 0.5 * unit;
-  return std::min(delay, policy.max_backoff_sec);
+  return std::min(delay, max_sec);
 }
 
 double SleepWithStop(double sec, const StopToken* stop) {

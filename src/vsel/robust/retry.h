@@ -5,7 +5,7 @@
 // The backoff for attempt k of stream s (a partition index, or a backend
 // operation counter) is
 //
-//   initial * multiplier^(k-2) * jitter(seed, s, k)
+//   min(initial * 2^(k-2) * jitter(s, k), max)
 //
 // with jitter a deterministic uniform draw in [0.5, 1.0] — so two runs with
 // the same plan sleep the same sequence (chaos tests can assert exact
@@ -19,16 +19,15 @@
 #include <cstdint>
 
 #include "common/stop_token.h"
-#include "vsel/options.h"
 
 namespace rdfviews::vsel::robust {
 
 /// Backoff in seconds to sleep *before* attempt `attempt` (2-based: the
-/// first attempt never sleeps, so BackoffDelaySec(p, s, 1) == 0). Jittered
-/// deterministically from (policy.jitter_seed, stream, attempt) and capped
-/// at policy.max_backoff_sec; callers additionally clip to their remaining
-/// time budget.
-double BackoffDelaySec(const RetryPolicy& policy, uint64_t stream,
+/// first attempt never sleeps, so BackoffDelaySec(i, m, s, 1) == 0):
+/// `initial_sec` doubled per further attempt, jittered deterministically
+/// from (stream, attempt) and capped at `max_sec`; callers additionally
+/// clip to their remaining time budget.
+double BackoffDelaySec(double initial_sec, double max_sec, uint64_t stream,
                        size_t attempt);
 
 /// Sleeps up to `sec` seconds, polling `stop` (when non-null) every

@@ -1,30 +1,17 @@
 #include "vsel/robust/retrying_cache_backend.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/telemetry/trace.h"
 
 namespace rdfviews::vsel::robust {
 
-namespace {
-
-RetryPolicy MakePolicy(const RetryingCacheBackend::Options& options) {
-  RetryPolicy policy;
-  policy.max_attempts = options.max_attempts == 0 ? 1 : options.max_attempts;
-  policy.initial_backoff_sec = options.initial_backoff_sec;
-  policy.backoff_multiplier = 2.0;
-  policy.max_backoff_sec = options.initial_backoff_sec * 16;
-  policy.jitter_seed = options.jitter_seed;
-  return policy;
-}
-
-}  // namespace
-
 RetryingCacheBackend::RetryingCacheBackend(
     serialize::PartitionCacheBackend* delegate, Options options)
     : delegate_(delegate),
-      retry_(MakePolicy(options)),
-      max_attempts_(retry_.max_attempts),
+      backoff_sec_(options.backoff_sec),
+      max_attempts_(std::max<size_t>(options.max_attempts, 1)),
       breaker_(options.breaker) {
   RegisterMetrics();
 }
@@ -33,10 +20,15 @@ RetryingCacheBackend::RetryingCacheBackend(
     std::shared_ptr<serialize::PartitionCacheBackend> owned, Options options)
     : owned_(std::move(owned)),
       delegate_(owned_.get()),
-      retry_(MakePolicy(options)),
-      max_attempts_(retry_.max_attempts),
+      backoff_sec_(options.backoff_sec),
+      max_attempts_(std::max<size_t>(options.max_attempts, 1)),
       breaker_(options.breaker) {
   RegisterMetrics();
+}
+
+double RetryingCacheBackend::BackoffDelay(uint64_t stream,
+                                          size_t attempt) const {
+  return BackoffDelaySec(backoff_sec_, backoff_sec_ * 16, stream, attempt);
 }
 
 void RetryingCacheBackend::RegisterMetrics() {
@@ -81,7 +73,7 @@ Status RetryingCacheBackend::Get(const std::string& key, Fetched* out) {
       telemetry::TraceSpan span("cache.retry.backoff");
       span.Annotate("op", "get");
       span.Annotate("attempt", static_cast<uint64_t>(attempt));
-      SleepWithStop(BackoffDelaySec(retry_, stream, attempt + 1), nullptr);
+      SleepWithStop(BackoffDelay(stream, attempt + 1), nullptr);
     }
   }
 }
@@ -110,7 +102,7 @@ Status RetryingCacheBackend::Put(const std::string& key,
       telemetry::TraceSpan span("cache.retry.backoff");
       span.Annotate("op", "put");
       span.Annotate("attempt", static_cast<uint64_t>(attempt));
-      SleepWithStop(BackoffDelaySec(retry_, stream, attempt + 1), nullptr);
+      SleepWithStop(BackoffDelay(stream, attempt + 1), nullptr);
     }
   }
 }

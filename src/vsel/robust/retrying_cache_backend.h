@@ -1,6 +1,6 @@
 // A PartitionCacheBackend decorator adding retry-with-backoff and a
-// circuit breaker in front of any delegate backend (enabled through
-// SessionCacheOptions::robust_backend).
+// circuit breaker in front of any delegate backend. A TuningSession gets
+// it by being constructed with the decorated backend.
 //
 // Semantics layered on the delegate:
 //
@@ -43,18 +43,17 @@ class RetryingCacheBackend : public serialize::PartitionCacheBackend {
   struct Options {
     /// Attempts per operation, including the first.
     size_t max_attempts = 3;
-    /// Backoff between attempts (see RetryPolicy; multiplier 2, capped at
-    /// 16x the initial).
-    double initial_backoff_sec = 0.002;
-    uint64_t jitter_seed = 0x5eedull;
+    /// Backoff before the second attempt, doubling per further attempt,
+    /// jittered, and capped at 16x (see BackoffDelaySec).
+    double backoff_sec = 0.002;
     CircuitBreaker::Options breaker;
   };
 
   /// Non-owning: `delegate` must outlive the decorator.
   RetryingCacheBackend(serialize::PartitionCacheBackend* delegate,
                        Options options);
-  /// Owning: the decorator keeps the delegate alive (the session wraps its
-  /// backend — self-constructed or caller-supplied — through this one).
+  /// Owning: the decorator keeps the delegate alive (the form to hand a
+  /// TuningSession).
   RetryingCacheBackend(
       std::shared_ptr<serialize::PartitionCacheBackend> owned,
       Options options);
@@ -78,9 +77,10 @@ class RetryingCacheBackend : public serialize::PartitionCacheBackend {
  private:
   std::shared_ptr<serialize::PartitionCacheBackend> owned_;
   serialize::PartitionCacheBackend* delegate_;
-  RetryPolicy retry_;
+  double backoff_sec_;
   size_t max_attempts_;
   CircuitBreaker breaker_;
+  double BackoffDelay(uint64_t stream, size_t attempt) const;
   void RegisterMetrics();
 
   std::atomic<uint64_t> op_counter_{0};

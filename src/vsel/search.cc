@@ -196,22 +196,13 @@ SearchResult RunExhaustive(SearchContext* ctx, const State& s0,
 
 /// Stratified depth-first search (Sec. 5.2). For each state, first the
 /// closure under the current transition kind is explored depth-first, then
-/// the state advances to the next kind. `vb_depth` counts the VB-stratum
-/// recursion depth along the current path: once it reaches
-/// limits.max_vb_depth (when set), the VB stratum is skipped and the state
-/// advances to SC directly, so large views cannot trap the DFS inside the
-/// exponential VB closure. `depth` indexes the per-depth transition-buffer
-/// pool — each recursion level reuses its own buffer across visits.
+/// the state advances to the next kind. `depth` indexes the per-depth
+/// transition-buffer pool — each recursion level reuses its own buffer
+/// across visits.
 void DfsVisit(SearchContext* ctx, TransitionBufferPool* pool, const State& s,
-              int kind, size_t vb_depth, size_t depth) {
+              int kind, size_t depth) {
   if (kind >= internal::kNumPhases) {
     ++ctx->stats.explored;
-    return;
-  }
-  if (kind == static_cast<int>(TransitionKind::kVB) &&
-      ctx->limits.max_vb_depth > 0 &&
-      vb_depth >= ctx->limits.max_vb_depth) {
-    DfsVisit(ctx, pool, s, kind + 1, vb_depth, depth);
     return;
   }
   TransitionBuffer& buf = pool->At(depth);
@@ -220,23 +211,19 @@ void DfsVisit(SearchContext* ctx, TransitionBufferPool* pool, const State& s,
                            &buf);
   for (size_t i = 0; i < buf.size(); ++i) {
     if (ctx->OutOfBudget()) return;
-    const size_t child_vb =
-        vb_depth + (kind == static_cast<int>(TransitionKind::kVB));
-    auto admitted = ctx->Admit(ApplyTransition(s, buf[i], &ctx->arena),
-                               internal::DfsDedupRank(ctx->limits, kind,
-                                                      child_vb));
+    auto admitted = ctx->Admit(ApplyTransition(s, buf[i], &ctx->arena), kind);
     if (admitted.has_value()) {
-      DfsVisit(ctx, pool, admitted->state, kind, child_vb, depth + 1);
+      DfsVisit(ctx, pool, admitted->state, kind, depth + 1);
     }
   }
   if (ctx->OutOfBudget()) return;
-  DfsVisit(ctx, pool, s, kind + 1, vb_depth, depth);
+  DfsVisit(ctx, pool, s, kind + 1, depth);
 }
 
 SearchResult RunDfs(SearchContext* ctx, const State& s0) {
   ctx->Init(s0);
   TransitionBufferPool pool;
-  DfsVisit(ctx, &pool, ctx->start, 0, 0, 0);
+  DfsVisit(ctx, &pool, ctx->start, 0, 0);
   return ctx->Finish(true);
 }
 

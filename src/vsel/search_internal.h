@@ -71,29 +71,6 @@ inline bool StateViolatesStopConditions(const State& s,
   return false;
 }
 
-/// Revisit rank for the DFS seen-set. Without a VB cap the stratum alone
-/// orders revisits (rank == kind). With limits.max_vb_depth set, two DFS
-/// visits of the same state also differ in power by the VB budget left
-/// along their paths: a VB-stratum visit at depth d explores view breaks
-/// capped at (max - d) and then every later stratum, and a VB-stratum
-/// visit at d >= max skips straight to SC — behaviorally a stratum-1
-/// visit. Collapsing (kind, vb_depth) onto this total order (reopen on a
-/// strictly smaller rank) makes the reopening fixpoint — and therefore a
-/// capped DFS's reachable set and best — independent of arrival order, so
-/// serial and parallel capped runs that exhaust their space report the
-/// same best at every thread count. `vb_depth` is the depth at which the
-/// admitted state's own subtree will be explored (the child's depth, not
-/// the parent's).
-inline int DfsDedupRank(const SearchLimits& limits, int kind,
-                        size_t vb_depth) {
-  if (limits.max_vb_depth == 0) return kind;
-  const int cap = static_cast<int>(limits.max_vb_depth);
-  if (kind == static_cast<int>(TransitionKind::kVB)) {
-    return vb_depth < limits.max_vb_depth ? static_cast<int>(vb_depth) : cap;
-  }
-  return cap - 1 + kind;
-}
-
 /// Bookkeeping shared by all strategies: duplicate detection (by the
 /// incrementally maintained 128-bit state fingerprint, with stratum
 /// re-opening), AVF closure, stop conditions, best state tracking and

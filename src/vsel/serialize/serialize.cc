@@ -383,7 +383,6 @@ CacheIdentity ComputeCacheIdentity(const rdf::TripleStore& store,
   HashCombine(&seed, options.heuristics.stop_var);
   HashCombine(&seed, options.heuristics.stop_tt);
   HashCombine(&seed, static_cast<size_t>(options.heuristics.vb_overlap));
-  HashCombine(&seed, options.heuristics.vb_overlap_max_atoms);
   auto combine_double = [&seed](double v) {
     uint64_t bits;
     __builtin_memcpy(&bits, &v, sizeof(bits));
@@ -397,9 +396,6 @@ CacheIdentity ComputeCacheIdentity(const rdf::TripleStore& store,
   combine_double(options.weights.f);
   HashCombine(&seed, static_cast<size_t>(options.entailment));
   HashCombine(&seed, options.auto_calibrate_cm);
-  // max_vb_depth changes which states a truncated DFS reaches, so cached
-  // partition results are only valid under the same cap.
-  HashCombine(&seed, options.limits.max_vb_depth);
   id.config_tag = Mix64(static_cast<uint64_t>(seed));
   return id;
 }
@@ -879,11 +875,9 @@ void SerializeTuningConfig(const TuningConfig& o, ByteWriter* w) {
   w->U8(o.heuristics.stop_var ? 1 : 0);
   w->U8(o.heuristics.stop_tt ? 1 : 0);
   w->U32(static_cast<uint32_t>(o.heuristics.vb_overlap));
-  w->U64(o.heuristics.vb_overlap_max_atoms);
   w->F64(o.limits.time_budget_sec);
   w->U64(o.limits.max_states);
   w->U64(o.limits.num_threads);
-  w->U64(o.limits.max_vb_depth);
   w->F64(o.weights.cs);
   w->F64(o.weights.cr);
   w->F64(o.weights.cm);
@@ -893,13 +887,7 @@ void SerializeTuningConfig(const TuningConfig& o, ByteWriter* w) {
   w->U8(o.auto_calibrate_cm ? 1 : 0);
   w->U8(static_cast<uint8_t>(o.entailment));
   w->U8(o.partition.enabled ? 1 : 0);
-  w->U64(o.partition.max_partitions);
-  w->U8(o.partition.parallel_partitions ? 1 : 0);
   w->U64(o.robust.retry.max_attempts);
-  w->F64(o.robust.retry.initial_backoff_sec);
-  w->F64(o.robust.retry.backoff_multiplier);
-  w->F64(o.robust.retry.max_backoff_sec);
-  w->U64(o.robust.retry.jitter_seed);
   w->F64(o.robust.partition_deadline_sec);
   w->U8(o.telemetry.trace ? 1 : 0);
 }
@@ -915,11 +903,9 @@ Result<TuningConfig> DeserializeTuningConfig(ByteReader* r) {
   o.heuristics.stop_var = r->U8() != 0;
   o.heuristics.stop_tt = r->U8() != 0;
   o.heuristics.vb_overlap = static_cast<int>(r->U32());
-  o.heuristics.vb_overlap_max_atoms = r->U64();
   o.limits.time_budget_sec = r->F64();
   o.limits.max_states = r->U64();
   o.limits.num_threads = r->U64();
-  o.limits.max_vb_depth = r->U64();
   o.weights.cs = r->F64();
   o.weights.cr = r->F64();
   o.weights.cm = r->F64();
@@ -933,13 +919,7 @@ Result<TuningConfig> DeserializeTuningConfig(ByteReader* r) {
   }
   o.entailment = static_cast<EntailmentMode>(entailment);
   o.partition.enabled = r->U8() != 0;
-  o.partition.max_partitions = r->U64();
-  o.partition.parallel_partitions = r->U8() != 0;
   o.robust.retry.max_attempts = r->U64();
-  o.robust.retry.initial_backoff_sec = r->F64();
-  o.robust.retry.backoff_multiplier = r->F64();
-  o.robust.retry.max_backoff_sec = r->F64();
-  o.robust.retry.jitter_seed = r->U64();
   o.robust.partition_deadline_sec = r->F64();
   o.telemetry.trace = r->U8() != 0;
   if (r->failed()) return Status::ParseError("truncated options");

@@ -12,7 +12,6 @@
 #include "common/telemetry/metrics.h"
 #include "common/telemetry/trace.h"
 #include "vsel/pipeline/executor.h"
-#include "vsel/robust/retrying_cache_backend.h"
 
 namespace rdfviews::vsel {
 
@@ -70,18 +69,6 @@ TuningSession::TuningSession(
     } else {
       cache_backend_ = std::make_shared<serialize::InMemoryCacheBackend>();
     }
-  }
-  if (options_.cache.robust_backend) {
-    // Wrap whatever backend we ended up with (self-constructed or
-    // caller-supplied) in the retry + circuit-breaker decorator; the
-    // decorator shares ownership of the delegate.
-    robust::RetryingCacheBackend::Options ro;
-    ro.max_attempts = options_.cache.backend_retry_attempts;
-    ro.initial_backoff_sec = options_.cache.backend_retry_backoff_sec;
-    ro.breaker.failure_threshold = options_.cache.breaker_failure_threshold;
-    ro.breaker.open_sec = options_.cache.breaker_open_sec;
-    cache_backend_ =
-        std::make_shared<robust::RetryingCacheBackend>(cache_backend_, ro);
   }
   // Identity-salt every key handed to the backend (see cache_key_prefix_):
   // sessions with different options sharing one backend object address
@@ -361,12 +348,10 @@ Result<Recommendation> TuningSession::DoUpdate(
             .count()));
   }
   // Bound the in-memory cache (persistent backends ignore the hint): keep
-  // the most recently used max(lru_floor, lru_per_partition x partitions)
-  // entries, so recently retired sub-workloads remain instantly
-  // re-addable while a drifting log can not grow the session unboundedly.
-  cache_backend_->Trim(
-      std::max(options_.cache.lru_floor,
-               options_.cache.lru_per_partition * plan.groups.size()));
+  // the most recently used max(64, 4 x partitions) entries, so recently
+  // retired sub-workloads remain instantly re-addable while a drifting log
+  // can not grow the session unboundedly.
+  cache_backend_->Trim(std::max<size_t>(64, 4 * plan.groups.size()));
 
   // Close the root before harvesting so the exported tree is balanced, then
   // publish: the recommendation carries the bundle, and TelemetrySnapshot

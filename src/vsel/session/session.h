@@ -29,9 +29,8 @@
 // the concatenated renaming-insensitive keys of its member queries'
 // minimized forms, in workload order — was never completed before. Adding
 // or removing a query changes the key of exactly the partitions whose
-// commonality component it touches (plus any re-packing under
-// max_partitions). Results of searches that did not complete (time/memory
-// exhausted, cancelled) are never cached.
+// commonality component it touches. Results of searches that did not
+// complete (time/memory exhausted, cancelled) are never cached.
 //
 // Exactness: whenever the partition decomposition is provably exact (see
 // pipeline.h) and every partition search completes, an incremental Update
@@ -170,7 +169,9 @@ class TuningSession {
   /// their views re-interned through the session's live CostModel and the
   /// state re-costed, and an entry whose recomputed cost does not match the
   /// persisted one (statistics or weight drift the identity tag missed) is
-  /// discarded — the partition is simply re-searched.
+  /// discarded — the partition is simply re-searched. To retry transient
+  /// storage failures behind a circuit breaker, pass the backend wrapped
+  /// in a robust::RetryingCacheBackend.
   TuningSession(
       const rdf::TripleStore* store, const rdf::Dictionary* dict,
       const TuningConfig& options, const rdf::Schema* schema = nullptr,
@@ -265,8 +266,8 @@ class TuningSession {
   bool calibrated_ = false;
   /// Canonical workload key -> completed search outcome storage (see the
   /// constructor comment). After every update the backend is trimmed to
-  /// max(cache.lru_floor, cache.lru_per_partition x current partitions)
-  /// entries (in-memory backends evict LRU; persistent ones ignore it).
+  /// max(64, 4 x current partitions) entries (in-memory backends evict
+  /// LRU; persistent ones ignore it).
   std::shared_ptr<serialize::PartitionCacheBackend> cache_backend_;
   /// The session's CacheIdentity bytes, prepended to every canonical key
   /// before it reaches the backend: canonical workload keys are

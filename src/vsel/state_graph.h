@@ -38,12 +38,11 @@ struct ViewGraph {
 
 /// The View Break transitions of one view as (mask_a, mask_b) atom-subset
 /// pairs (both connected, a < b), precomputed once per distinct view. The
-/// pairs depend only on the view's variable-sharing structure and the two
-/// overlap options recorded here; a consumer with different options must
+/// pairs depend only on the view's variable-sharing structure and the
+/// overlap option recorded here; a consumer with a different option must
 /// recompute instead of using the cached list.
 struct VbBreakList {
   size_t vb_overlap = 0;
-  size_t vb_overlap_max_atoms = 0;
   std::vector<std::pair<uint64_t, uint64_t>> pairs;
 };
 

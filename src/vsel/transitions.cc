@@ -18,6 +18,10 @@ namespace {
 constexpr rdf::Column kColumns[3] = {rdf::Column::kS, rdf::Column::kP,
                                      rdf::Column::kO};
 
+/// Views larger than this only get partition-style view breaks: the
+/// overlapping-cover sweep is n x 2^(n-1) subset pairs.
+constexpr size_t kOverlapCoverMaxAtoms = 14;
+
 using engine::Expr;
 using engine::ExprPtr;
 
@@ -313,7 +317,6 @@ VbBreakList ComputeVbBreaks(const std::vector<cq::Atom>& atoms,
                             const TransitionOptions& options) {
   VbBreakList breaks;
   breaks.vb_overlap = options.vb_overlap;
-  breaks.vb_overlap_max_atoms = options.vb_overlap_max_atoms;
   const size_t n = atoms.size();
   const uint64_t full = (n == 64) ? ~0ull : ((1ull << n) - 1);
 
@@ -326,7 +329,7 @@ VbBreakList ComputeVbBreaks(const std::vector<cq::Atom>& atoms,
   }
 
   // Overlapping covers sharing `vb_overlap` nodes (we support 1).
-  if (options.vb_overlap >= 1 && n <= options.vb_overlap_max_atoms) {
+  if (options.vb_overlap >= 1 && n <= kOverlapCoverMaxAtoms) {
     for (size_t pivot = 0; pivot < n; ++pivot) {
       const uint64_t pbit = 1ull << pivot;
       const uint64_t rest = full ^ pbit;
@@ -358,7 +361,7 @@ void EnumerateVb(const State& state, const TransitionOptions& options,
     VbBreakList local;
     if (options.graph_cache != nullptr) {
       cached = options.graph_cache->VbBreaks(
-          view, options.vb_overlap, options.vb_overlap_max_atoms,
+          view, options.vb_overlap,
           [&] { return ComputeVbBreaks(atoms, options); });
     }
     if (cached == nullptr) local = ComputeVbBreaks(atoms, options);

@@ -54,7 +54,6 @@ struct Transition {
 /// Options controlling transition enumeration (VB cover generation).
 struct TransitionOptions {
   int vb_overlap = 1;
-  size_t vb_overlap_max_atoms = 14;
   /// Views larger than this get no view breaks at all (2^n enumeration).
   size_t vb_max_atoms = 16;
   /// Enumerate both orientations of each join edge (Def. 3.4 cuts ni.ai;
@@ -72,7 +71,6 @@ struct TransitionOptions {
   static TransitionOptions FromHeuristics(const HeuristicOptions& h) {
     TransitionOptions t;
     t.vb_overlap = h.vb_overlap;
-    t.vb_overlap_max_atoms = h.vb_overlap_max_atoms;
     return t;
   }
 };

@@ -29,10 +29,6 @@ Status TuningConfig::Validate() const {
   if (heuristics.vb_overlap < 0) {
     return Bad("heuristics.vb_overlap", "must be >= 0 shared nodes");
   }
-  if (heuristics.vb_overlap_max_atoms == 0) {
-    return Bad("heuristics.vb_overlap_max_atoms",
-               "must be >= 1 atom (every view has at least one)");
-  }
 
   // Cost weights: every component weight is a nonnegative finite scale.
   if (NonFinite(weights.cs) || weights.cs < 0)
@@ -48,69 +44,15 @@ Status TuningConfig::Validate() const {
   if (NonFinite(weights.f) || weights.f < 0)
     return Bad("weights.f", "must be a finite fan-out factor >= 0");
 
-  // Retry / watchdog: at least one attempt, nonnegative backoffs, a
-  // multiplier that does not shrink, and a cap no smaller than the start.
+  // Retry / watchdog: at least one attempt and a nonnegative deadline.
   if (robust.retry.max_attempts == 0) {
     return Bad("robust.retry.max_attempts",
                "must be >= 1 (the first try counts as an attempt)");
-  }
-  if (NonFinite(robust.retry.initial_backoff_sec) ||
-      robust.retry.initial_backoff_sec < 0) {
-    return Bad("robust.retry.initial_backoff_sec", "must be >= 0 seconds");
-  }
-  if (NonFinite(robust.retry.backoff_multiplier) ||
-      robust.retry.backoff_multiplier < 1.0) {
-    return Bad("robust.retry.backoff_multiplier",
-               "must be >= 1 (backoffs never shrink)");
-  }
-  if (NonFinite(robust.retry.max_backoff_sec) ||
-      robust.retry.max_backoff_sec < robust.retry.initial_backoff_sec) {
-    return Bad("robust.retry.max_backoff_sec",
-               "must be >= robust.retry.initial_backoff_sec "
-               "(the cap cannot undercut the first backoff)");
   }
   if (NonFinite(robust.partition_deadline_sec) ||
       robust.partition_deadline_sec < 0) {
     return Bad("robust.partition_deadline_sec",
                "must be >= 0 seconds (0 = no watchdog)");
-  }
-
-  // Session cache: LRU knobs are floors (zero would evict everything the
-  // update just produced), and the robust-backend knobs must form a
-  // workable retry/breaker loop when robust_backend is on.
-  if (cache.lru_floor == 0) {
-    return Bad("cache.lru_floor", "must be >= 1 entry (it is a floor)");
-  }
-  if (cache.lru_per_partition == 0) {
-    return Bad("cache.lru_per_partition",
-               "must be >= 1 entry per partition");
-  }
-  if (cache.robust_backend && cache.backend_retry_attempts == 0) {
-    return Bad("cache.backend_retry_attempts",
-               "must be >= 1 when cache.robust_backend is set "
-               "(conflicting cache knobs: a retrying backend that never "
-               "attempts)");
-  }
-  if (NonFinite(cache.backend_retry_backoff_sec) ||
-      cache.backend_retry_backoff_sec < 0) {
-    return Bad("cache.backend_retry_backoff_sec", "must be >= 0 seconds");
-  }
-  if (cache.robust_backend && cache.breaker_failure_threshold == 0) {
-    return Bad("cache.breaker_failure_threshold",
-               "must be >= 1 when cache.robust_backend is set "
-               "(conflicting cache knobs: a breaker that opens before the "
-               "first failure would skip every operation)");
-  }
-  if (NonFinite(cache.breaker_open_sec) || cache.breaker_open_sec < 0) {
-    return Bad("cache.breaker_open_sec", "must be >= 0 seconds");
-  }
-
-  // Partitioning: a cap without partitioning enabled is a contradiction —
-  // reject instead of silently ignoring the knob.
-  if (!partition.enabled && partition.max_partitions != 0) {
-    return Bad("partition.max_partitions",
-               "set while partition.enabled is false; enable partitioning "
-               "or leave the cap at 0");
   }
 
   return Status::OK();

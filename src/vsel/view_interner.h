@@ -135,14 +135,13 @@ class ViewInterner {
 
   /// Memoized View Break mask pairs of the view. Valid for every view with
   /// the same cost hash (identical variable-sharing structure ⇒ identical
-  /// connected subset pairs). Returns nullptr when a list cached under
-  /// *different* overlap options is found — the caller must then compute
+  /// connected subset pairs). Returns nullptr when a list cached under a
+  /// *different* overlap option is found — the caller must then compute
   /// locally without caching (options are fixed within one run, so this
   /// only happens across runs sharing a cost model).
   template <typename Fn>
   std::shared_ptr<const VbBreakList> VbBreaks(const View& view,
                                               size_t vb_overlap,
-                                              size_t vb_overlap_max_atoms,
                                               Fn&& compute) {
     const Hash128& key = view.CostHash();
     Shard& sh = ShardFor(key);
@@ -150,11 +149,8 @@ class ViewInterner {
       std::lock_guard<std::mutex> lock(sh.mu);
       auto it = sh.vb_breaks.find(key);
       if (it != sh.vb_breaks.end()) {
-        if (it->second->vb_overlap == vb_overlap &&
-            it->second->vb_overlap_max_atoms == vb_overlap_max_atoms) {
-          return it->second;
-        }
-        return nullptr;  // cached under different options
+        if (it->second->vb_overlap == vb_overlap) return it->second;
+        return nullptr;  // cached under a different option
       }
     }
     auto breaks = std::make_shared<const VbBreakList>(compute());

@@ -50,11 +50,13 @@ namespace rdfviews::vseld {
 inline constexpr uint32_t kFrameMagic = 0x444C5356;  // "VSLD"
 /// Version 2 added the fleet verbs (register-worker, dispatch-partition,
 /// partition-result, worker-heartbeat), the remote cache verbs, and the
-/// ping response's protocol_version echo. Both sides reject other
-/// versions, and `ping` negotiates explicitly: the server answers with its
-/// version and Client::Ping fails fast on a mismatch instead of letting a
-/// later verb die with a confusing ParseError.
-inline constexpr uint32_t kProtocolVersion = 2;
+/// ping response's protocol_version echo. Version 3 shrank the TuningConfig
+/// wire form (open-session, dispatch-partition) from 28 fields to 20. Both
+/// sides reject other versions, and `ping` negotiates explicitly: the
+/// server answers with its version and Client::Ping fails fast on a
+/// mismatch instead of letting a later verb die with a confusing
+/// ParseError.
+inline constexpr uint32_t kProtocolVersion = 3;
 /// Hard cap on one frame's payload; a length header beyond it is rejected
 /// before any allocation.
 inline constexpr uint32_t kMaxFramePayload = 64u << 20;

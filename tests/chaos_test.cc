@@ -37,7 +37,9 @@
 #include "common/status.h"
 #include "rdf/statistics.h"
 #include "test_util.h"
+#include "vsel/robust/retrying_cache_backend.h"
 #include "vsel/selector.h"
+#include "vsel/serialize/partition_cache.h"
 #include "vsel/session/session.h"
 #include "workload/generator.h"
 
@@ -105,16 +107,28 @@ struct ChaosFixture : public ::testing::Test {
     return all;
   }
 
-  /// Fixed-weight options with a fast-but-cheap retry policy; chaos runs
-  /// must never wait out production-scale backoffs.
+  /// Fixed-weight options with a per-partition retry budget.
   TuningConfig Options(size_t max_attempts = 1) const {
     TuningConfig options;
     options.strategy = StrategyKind::kDfs;
     options.auto_calibrate_cm = false;
     options.robust.retry.max_attempts = max_attempts;
-    options.robust.retry.initial_backoff_sec = 0.001;
-    options.robust.retry.max_backoff_sec = 0.002;
     return options;
+  }
+
+  /// The persistent backend at options.cache.cache_dir behind the retrying,
+  /// circuit-breaking decorator, with backoffs and a breaker window short
+  /// enough that chaos runs never wait out production-scale ones.
+  std::shared_ptr<serialize::PartitionCacheBackend> RobustBackend(
+      const TuningConfig& options) const {
+    robust::RetryingCacheBackend::Options retry;
+    retry.backoff_sec = 0.0005;
+    retry.breaker.open_sec = 0.01;
+    return std::make_shared<robust::RetryingCacheBackend>(
+        std::make_shared<serialize::DirCacheBackend>(
+            options.cache.cache_dir,
+            serialize::ComputeCacheIdentity(store, options)),
+        retry);
   }
 
   Recommendation Scratch(const std::vector<cq::ConjunctiveQuery>& workload,
@@ -155,10 +169,8 @@ TEST_F(ChaosSweepTest, EverySiteEveryActionIsContainedAndRecoverable) {
       options.limits.num_threads = 2;
       options.cache.cache_dir =
           TempCacheDir("chaos_sweep_" + std::to_string(combo));
-      options.cache.robust_backend = true;
-      options.cache.backend_retry_backoff_sec = 0.0005;
-      options.cache.breaker_open_sec = 0.01;
-      TuningSession session(&store, &dict, options);
+      TuningSession session(&store, &dict, options, nullptr,
+                            RobustBackend(options));
 
       fault::SiteSpec spec;
       spec.action = action;
@@ -204,10 +216,8 @@ TEST_F(ChaosSweepTest, RandomizedMultiSiteChaosConvergesAfterDisarm) {
   TuningConfig options = Options(/*max_attempts=*/4);
   options.limits.num_threads = 2;
   options.cache.cache_dir = TempCacheDir("chaos_multi");
-  options.cache.robust_backend = true;
-  options.cache.backend_retry_backoff_sec = 0.0005;
-  options.cache.breaker_open_sec = 0.01;
-  TuningSession session(&store, &dict, options);
+  TuningSession session(&store, &dict, options, nullptr,
+                        RobustBackend(options));
 
   fault::FaultPlan plan;
   const fault::Action kActions[] = {fault::Action::kFail,
@@ -445,10 +455,8 @@ TEST_F(ChaosRetryTest, CacheLayerFaultsAreCorrectnessNeutral) {
   // cost wasted searches — never a different recommendation.
   TuningConfig options = Options();
   options.cache.cache_dir = TempCacheDir("chaos_cache_neutral");
-  options.cache.robust_backend = true;
-  options.cache.backend_retry_backoff_sec = 0.0005;
-  options.cache.breaker_open_sec = 0.01;
-  TuningSession session(&store, &dict, options);
+  TuningSession session(&store, &dict, options, nullptr,
+                        RobustBackend(options));
 
   fault::FaultPlan plan;
   for (const char* site :

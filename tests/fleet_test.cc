@@ -77,12 +77,6 @@ TEST(TuningConfigValidateTest, RejectsNegativeVbOverlap) {
   ExpectRejects(c, "heuristics.vb_overlap");
 }
 
-TEST(TuningConfigValidateTest, RejectsZeroVbOverlapMaxAtoms) {
-  TuningConfig c;
-  c.heuristics.vb_overlap_max_atoms = 0;
-  ExpectRejects(c, "heuristics.vb_overlap_max_atoms");
-}
-
 TEST(TuningConfigValidateTest, RejectsBadWeights) {
   {
     TuningConfig c;
@@ -124,67 +118,9 @@ TEST(TuningConfigValidateTest, RejectsBadRetryKnobs) {
   }
   {
     TuningConfig c;
-    c.robust.retry.initial_backoff_sec = -0.1;
-    ExpectRejects(c, "robust.retry.initial_backoff_sec");
-  }
-  {
-    TuningConfig c;
-    c.robust.retry.backoff_multiplier = 0.5;
-    ExpectRejects(c, "robust.retry.backoff_multiplier");
-  }
-  {
-    TuningConfig c;
-    c.robust.retry.initial_backoff_sec = 1.0;
-    c.robust.retry.max_backoff_sec = 0.5;
-    ExpectRejects(c, "robust.retry.max_backoff_sec");
-  }
-  {
-    TuningConfig c;
     c.robust.partition_deadline_sec = -1;
     ExpectRejects(c, "robust.partition_deadline_sec");
   }
-}
-
-TEST(TuningConfigValidateTest, RejectsBadCacheKnobs) {
-  {
-    TuningConfig c;
-    c.cache.lru_floor = 0;
-    ExpectRejects(c, "cache.lru_floor");
-  }
-  {
-    TuningConfig c;
-    c.cache.lru_per_partition = 0;
-    ExpectRejects(c, "cache.lru_per_partition");
-  }
-  {
-    TuningConfig c;
-    c.cache.robust_backend = true;
-    c.cache.backend_retry_attempts = 0;
-    ExpectRejects(c, "cache.backend_retry_attempts");
-  }
-  {
-    TuningConfig c;
-    c.cache.backend_retry_backoff_sec = -0.5;
-    ExpectRejects(c, "cache.backend_retry_backoff_sec");
-  }
-  {
-    TuningConfig c;
-    c.cache.robust_backend = true;
-    c.cache.breaker_failure_threshold = 0;
-    ExpectRejects(c, "cache.breaker_failure_threshold");
-  }
-  {
-    TuningConfig c;
-    c.cache.breaker_open_sec = -1;
-    ExpectRejects(c, "cache.breaker_open_sec");
-  }
-}
-
-TEST(TuningConfigValidateTest, RejectsPartitionCapWithoutPartitioning) {
-  TuningConfig c;
-  c.partition.enabled = false;
-  c.partition.max_partitions = 4;
-  ExpectRejects(c, "partition.max_partitions");
 }
 
 // ---- Fleet work-unit codec -------------------------------------------------

@@ -5,9 +5,6 @@
 //  - arena-backed and heap-backed clones are indistinguishable (same
 //    fingerprints, signatures, rewritings), and arena states safely
 //    outlive the arena that allocated them;
-//  - SearchLimits::max_vb_depth caps View-Break recursion identically at
-//    every thread count (the capped run admits the same distinct view-set
-//    states, serial vs parallel DFS, via internal::DfsDedupRank);
 //  - ShardedFrontier publishes steal counts and waiting-worker gauges
 //    live (mid-run), and Starving() flips exactly when workers wait on an
 //    empty frontier — the signal the DFS donation path keys on.
@@ -172,63 +169,6 @@ TEST(ParallelFlatStateTest, RewritingListApi) {
   }
 }
 
-// ---- max_vb_depth: identical cap at every thread count -------------------
-
-/// Distinct view-set states admitted by a run: every Admit() that was not
-/// rejected as a duplicate or discarded by a stop condition.
-size_t DistinctStates(const SearchResult& r) {
-  return r.stats.created - r.stats.duplicates - r.stats.discarded;
-}
-
-// The capped-DFS determinism contract (see SearchLimits::max_vb_depth and
-// internal::DfsDedupRank): the *reachable view-set space* of a capped run
-// that exhausts its budget is identical at every thread count — duplicate
-// detection ranks revisits by the remaining VB budget, so the reopening
-// fixpoint is arrival-order independent. The reported best's cost is NOT
-// asserted equal across thread counts: equal-fingerprint states can carry
-// path-dependent (equally valid) rewriting plans with different estimated
-// costs, and which plan arrives first is scheduling-dependent.
-TEST(ParallelMaxVbDepthTest, ReachableSpaceIdenticalAcrossThreadCounts) {
-  rdf::Dictionary dict;
-  rdf::TripleStore store;
-  std::vector<cq::ConjunctiveQuery> workload =
-      SmallWorkload(&dict, &store, 821, 3);
-  rdf::Statistics stats(&store);
-
-  auto run = [&](size_t threads) {
-    CostModel model(&stats, CostWeights{});
-    State s0 = *MakeInitialState(workload);
-    HeuristicOptions heur;
-    SearchLimits limits;
-    limits.time_budget_sec = 600;  // headroom for the TSan leg
-    limits.num_threads = threads;
-    limits.max_vb_depth = 1;  // cap VB chains: prunes most of the space
-    auto r = RunSearch(StrategyKind::kDfs, s0, model, heur, limits);
-    EXPECT_TRUE(r.ok());
-    EXPECT_TRUE(r->stats.completed);
-    // The reported cost must be the recomputable cost of the reported
-    // state (no stale cache, no arena-lifetime corruption).
-    CostModel fresh(&stats, CostWeights{});
-    EXPECT_DOUBLE_EQ(r->stats.best_cost, fresh.StateCost(r->best))
-        << "threads=" << threads;
-    return *r;
-  };
-
-  // Serial capped DFS is deterministic run-to-run.
-  SearchResult serial = run(1);
-  SearchResult serial2 = run(1);
-  EXPECT_DOUBLE_EQ(serial.stats.best_cost, serial2.stats.best_cost);
-  EXPECT_EQ(serial.best.fingerprint(), serial2.best.fingerprint());
-
-  for (size_t threads : {size_t{2}, size_t{8}}) {
-    SearchResult par = run(threads);
-    EXPECT_EQ(DistinctStates(serial), DistinctStates(par))
-        << "threads=" << threads;
-    EXPECT_EQ(par.best.fingerprint(), par.best.RecomputeFingerprint())
-        << "threads=" << threads;
-  }
-}
-
 // ---- Frontier metrics: live steal counts and starvation ------------------
 
 TEST(ParallelFrontierMetricsTest, StealsPublishedLive) {
@@ -295,11 +235,19 @@ TEST(ParallelFrontierMetricsTest, StarvingFlipsWhileWorkerWaits) {
 
 // ---- DFS donation path ---------------------------------------------------
 
+/// Distinct view-set states admitted by a run: every Admit() that was not
+/// rejected as a duplicate or discarded by a stop condition.
+size_t DistinctStates(const SearchResult& r) {
+  return r.stats.created - r.stats.duplicates - r.stats.discarded;
+}
+
 TEST(ParallelDfsDonationTest, DonatedSubtreesPreserveTheExploredSet) {
   rdf::Dictionary dict;
   rdf::TripleStore store;
+  // Two 2-atom queries: the complete DFS space is ~100 states, small
+  // enough to exhaust quickly under the TSan leg.
   std::vector<cq::ConjunctiveQuery> workload =
-      SmallWorkload(&dict, &store, 821, 3);
+      SmallWorkload(&dict, &store, 821, 2);
   rdf::Statistics stats(&store);
   auto* donations = telemetry::MetricsRegistry::Default()->GetCounter(
       "vsel_dfs_donations_total");
@@ -312,7 +260,6 @@ TEST(ParallelDfsDonationTest, DonatedSubtreesPreserveTheExploredSet) {
     SearchLimits limits;
     limits.time_budget_sec = 600;  // headroom for the TSan leg
     limits.num_threads = threads;
-    limits.max_vb_depth = 1;
     auto r = RunSearch(StrategyKind::kDfs, s0, model, heur, limits);
     EXPECT_TRUE(r.ok());
     EXPECT_TRUE(r->stats.completed);

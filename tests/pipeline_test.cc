@@ -8,7 +8,6 @@
 
 #include <cmath>
 #include <cstdio>
-#include <unordered_set>
 
 #include "engine/evaluator.h"
 #include "rdf/statistics.h"
@@ -138,6 +137,10 @@ std::vector<cq::ConjunctiveQuery> DisjointWorkload(rdf::Dictionary* dict) {
 IngestResult IngestOf(std::vector<cq::ConjunctiveQuery> queries) {
   IngestResult ing;
   ing.queries = std::move(queries);
+  for (const cq::ConjunctiveQuery& q : ing.queries) {
+    ing.minimized.push_back(
+        std::make_shared<const MinimizedQuery>(MinimizeQuery(q)));
+  }
   return ing;
 }
 
@@ -197,21 +200,6 @@ TEST(PartitionTest, FallsBackWhenDisabledOrCompetitor) {
   TuningConfig competitor;
   competitor.strategy = StrategyKind::kPruning21;
   EXPECT_EQ(PartitionWorkload(ing, competitor).num_partitions(), 1u);
-}
-
-TEST(PartitionTest, MaxPartitionsPacksComponents) {
-  rdf::Dictionary dict;
-  IngestResult ing = IngestOf(DisjointWorkload(&dict));
-  TuningConfig options;
-  options.partition.max_partitions = 2;
-  PartitionPlan plan = PartitionWorkload(ing, options);
-  ASSERT_EQ(plan.num_partitions(), 2u);
-  // Every query lands in exactly one partition.
-  std::unordered_set<size_t> covered;
-  for (const auto& group : plan.groups) {
-    for (size_t qi : group) EXPECT_TRUE(covered.insert(qi).second);
-  }
-  EXPECT_EQ(covered.size(), ing.queries.size());
 }
 
 // ---- Partition-vs-monolithic equivalence -----------------------------------
@@ -404,6 +392,62 @@ TEST(PipelineTest, MergeFoldsCrossPartitionDuplicateViews) {
     engine::Relation got = AnswerQuery(*rec, views, i);
     engine::Relation expected = engine::EvaluateQuery(queries[i], store);
     EXPECT_TRUE(expected.SameRowsAs(got)) << "query " << i;
+  }
+}
+
+// ---- Partition fan-out -----------------------------------------------------
+
+TEST(PipelineTest, FanOutNeedsTwoSearchedPartitionsAndThreads) {
+  TuningConfig options;
+  EXPECT_FALSE(FanOutPartitions(options, 3));
+  options.limits.num_threads = 2;
+  EXPECT_FALSE(FanOutPartitions(options, 0));
+  EXPECT_FALSE(FanOutPartitions(options, 1));
+  EXPECT_TRUE(FanOutPartitions(options, 2));
+}
+
+TEST(PipelineTest, OneSearchedPartitionMergesAsBackToBack) {
+  // An incremental stage 3 that re-searches exactly one of three
+  // partitions runs it alone, so merge must lay the partitions out back to
+  // back (elapsed = sum of the slices) at any thread count.
+  rdf::Dictionary dict;
+  std::vector<cq::ConjunctiveQuery> queries = DisjointWorkload(&dict);
+  rdf::TripleStore store =
+      workload::GenerateStoreForWorkload(queries, &dict, 500, 3);
+  for (size_t threads : {size_t{1}, size_t{2}}) {
+    SCOPED_TRACE("num_threads=" + std::to_string(threads));
+    TuningConfig options;
+    options.auto_calibrate_cm = false;
+    options.limits.num_threads = threads;
+    Result<IngestResult> ingest =
+        Ingest(&store, &dict, nullptr, queries, options);
+    ASSERT_TRUE(ingest.ok());
+    PartitionPlan plan = PartitionWorkload(*ingest, options);
+    ASSERT_EQ(plan.num_partitions(), 3u);
+    CostModel cost_model(ingest->stats, options.weights);
+    Result<std::vector<PartitionOutcome>> cold =
+        SearchPartitions(*ingest, plan, &cost_model, options);
+    ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+
+    std::vector<PreseededOutcome> preseeded(plan.num_partitions());
+    for (size_t p = 1; p < plan.num_partitions(); ++p) {
+      preseeded[p].result = &(*cold)[p].result;
+    }
+    PipelineReport report;
+    Result<std::vector<PartitionOutcome>> warm = SearchPartitions(
+        *ingest, plan, &cost_model, options, &preseeded, &report);
+    ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+    ASSERT_EQ(report.partitions_searched, 1u);
+    double sum = 0;
+    for (const PartitionOutcome& o : *warm) {
+      ASSERT_TRUE(o.ok());
+      EXPECT_GT(o.result.search.stats.elapsed_sec, 0.0);
+      sum += o.result.search.stats.elapsed_sec;
+    }
+    Result<Recommendation> rec = MergePartitions(
+        *ingest, plan, std::move(*warm), &cost_model, options, &report);
+    ASSERT_TRUE(rec.ok()) << rec.status().ToString();
+    EXPECT_DOUBLE_EQ(rec->stats.elapsed_sec, sum);
   }
 }
 

@@ -175,43 +175,33 @@ TEST_F(FaultInjectionTest, HangSelfReleasesAtSafetyCap) {
 // ---- Retry backoff ---------------------------------------------------------
 
 TEST(RetryBackoffTest, FirstAttemptNeverSleeps) {
-  RetryPolicy policy;
-  EXPECT_EQ(BackoffDelaySec(policy, 0, 0), 0.0);
-  EXPECT_EQ(BackoffDelaySec(policy, 0, 1), 0.0);
+  EXPECT_EQ(BackoffDelaySec(0.005, 0.25, 0, 0), 0.0);
+  EXPECT_EQ(BackoffDelaySec(0.005, 0.25, 0, 1), 0.0);
 }
 
 TEST(RetryBackoffTest, GrowsExponentiallyWithinJitterBand) {
-  RetryPolicy policy;
-  policy.initial_backoff_sec = 0.1;
-  policy.backoff_multiplier = 2.0;
-  policy.max_backoff_sec = 100.0;
   for (size_t attempt = 2; attempt <= 6; ++attempt) {
     const double base =
         0.1 * std::pow(2.0, static_cast<double>(attempt) - 2.0);
-    const double d = BackoffDelaySec(policy, 3, attempt);
+    const double d = BackoffDelaySec(0.1, 100.0, 3, attempt);
     EXPECT_GE(d, 0.5 * base) << "attempt " << attempt;
     EXPECT_LE(d, base) << "attempt " << attempt;
-    // Deterministic: the same (policy, stream, attempt) sleeps the same.
-    EXPECT_EQ(BackoffDelaySec(policy, 3, attempt), d);
+    // Deterministic: the same (stream, attempt) sleeps the same.
+    EXPECT_EQ(BackoffDelaySec(0.1, 100.0, 3, attempt), d);
   }
 }
 
 TEST(RetryBackoffTest, CappedAtMaxBackoff) {
-  RetryPolicy policy;
-  policy.initial_backoff_sec = 0.1;
-  policy.max_backoff_sec = 0.15;
   for (size_t attempt = 2; attempt <= 10; ++attempt) {
-    EXPECT_LE(BackoffDelaySec(policy, 0, attempt), 0.15);
+    EXPECT_LE(BackoffDelaySec(0.1, 0.15, 0, attempt), 0.15);
   }
 }
 
 TEST(RetryBackoffTest, DistinctStreamsDecorrelate) {
-  RetryPolicy policy;
-  policy.initial_backoff_sec = 0.1;
   bool any_differ = false;
   for (size_t attempt = 2; attempt <= 5 && !any_differ; ++attempt) {
-    any_differ = BackoffDelaySec(policy, 0, attempt) !=
-                 BackoffDelaySec(policy, 1, attempt);
+    any_differ = BackoffDelaySec(0.1, 100.0, 0, attempt) !=
+                 BackoffDelaySec(0.1, 100.0, 1, attempt);
   }
   EXPECT_TRUE(any_differ);
 }
@@ -420,7 +410,7 @@ class FlakyBackend : public serialize::PartitionCacheBackend {
 RetryingCacheBackend::Options FastRetryOptions(size_t max_attempts) {
   RetryingCacheBackend::Options options;
   options.max_attempts = max_attempts;
-  options.initial_backoff_sec = 0.0005;
+  options.backoff_sec = 0.0005;
   return options;
 }
 

@@ -494,8 +494,6 @@ TEST(SessionRetryEventsTest, RecoveryEmitsFailedRetryDoneInOrder) {
   SessionFixture fx;
   TuningConfig options = fx.Options(StrategyKind::kDfs);  // serial
   options.robust.retry.max_attempts = 3;
-  options.robust.retry.initial_backoff_sec = 0.001;
-  options.robust.retry.max_backoff_sec = 0.002;
   RetryEventLog log;
   options.limits.on_progress = log.Collector();
 
@@ -536,8 +534,6 @@ TEST(SessionRetryEventsTest, AbandonmentEventsAndAsyncProgressCounters) {
   SessionFixture fx;
   TuningConfig options = fx.Options(StrategyKind::kDfs);
   options.robust.retry.max_attempts = 2;
-  options.robust.retry.initial_backoff_sec = 0.001;
-  options.robust.retry.max_backoff_sec = 0.002;
   RetryEventLog log;
   options.limits.on_progress = log.Collector();
 

@@ -464,8 +464,6 @@ TEST_F(ChaosTelemetryTest, SpanTreeBalancedUnderInjectedFaults) {
   TelemetryFixture fx;
   vsel::TuningConfig options = fx.Options();
   options.robust.retry.max_attempts = 2;
-  options.robust.retry.initial_backoff_sec = 0.001;
-  options.robust.retry.max_backoff_sec = 0.002;
 
   // Every partition's first attempt fails-then-throws across the sweep;
   // retries recover some, abandonment degrades the rest. The telemetry

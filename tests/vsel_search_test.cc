@@ -209,6 +209,55 @@ TEST_F(SearchFixture, StopVarDiscardsAllVariableViews) {
   EXPECT_LT(r_stv->stats.created, r_plain->stats.created);
 }
 
+/// True when some view of `s` is the full triple table t(X, P, Y).
+bool HoldsTripleTable(const State& s) {
+  for (const View& v : s.views()) {
+    if (v.def.len() == 1 && v.def.NumConstants() == 0 &&
+        v.def.BodyVars().size() == 3) {
+      return true;
+    }
+  }
+  return false;
+}
+
+size_t AdmittedStates(const SearchStats& stats) {
+  return stats.created - stats.duplicates - stats.discarded;
+}
+
+TEST_F(SearchFixture, StopTtDiscardsTripleTableViewsUnlessS0HoldsOne) {
+  HeuristicOptions plain;  // stop_var off, as below
+  HeuristicOptions stt;
+  stt.stop_tt = true;
+  SearchLimits limits;
+
+  // SC on the query's only constant relaxes its view to the triple table;
+  // that state is the whole space beyond S0, and stop_tt must discard it.
+  State s0 = InitialState({"q(X, Y) :- t(X, hasPainted, Y)"});
+  ASSERT_FALSE(HoldsTripleTable(s0));
+  auto r_plain = RunSearch(StrategyKind::kDfs, s0, model_, plain, limits);
+  auto r_stt = RunSearch(StrategyKind::kDfs, s0, model_, stt, limits);
+  ASSERT_TRUE(r_plain.ok() && r_stt.ok());
+  EXPECT_TRUE(r_plain->stats.completed && r_stt->stats.completed);
+  EXPECT_EQ(AdmittedStates(r_plain->stats), 1u);
+  EXPECT_EQ(r_plain->stats.discarded, 0u);
+  EXPECT_GT(r_stt->stats.discarded, 0u);
+  EXPECT_EQ(AdmittedStates(r_stt->stats), 0u);
+  EXPECT_FALSE(HoldsTripleTable(r_stt->best));
+
+  // S0 already holds a triple-table view: the condition disarms, and the
+  // run is the plain one.
+  s0 = InitialState(
+      {"q(X, Y) :- t(X, hasPainted, Y)", "all(X, P, Y) :- t(X, P, Y)"});
+  ASSERT_TRUE(HoldsTripleTable(s0));
+  r_plain = RunSearch(StrategyKind::kDfs, s0, model_, plain, limits);
+  r_stt = RunSearch(StrategyKind::kDfs, s0, model_, stt, limits);
+  ASSERT_TRUE(r_plain.ok() && r_stt.ok());
+  EXPECT_GT(AdmittedStates(r_plain->stats), 0u);
+  EXPECT_EQ(r_stt->stats.discarded, 0u);
+  EXPECT_EQ(r_stt->stats.created, r_plain->stats.created);
+  EXPECT_EQ(r_stt->best.fingerprint(), r_plain->best.fingerprint());
+}
+
 TEST_F(SearchFixture, GstrFindsNoWorseThanInitial) {
   State s0 = InitialState(
       {"q1(X, Z) :- t(X, hasPainted, starryNight), t(X, isParentOf, Y), "
