@@ -6,10 +6,18 @@
 #include <sstream>
 
 #include "common/logging.h"
+#include "common/telemetry/metrics.h"
 
 namespace rdfviews::cq {
 
 namespace {
+
+telemetry::Counter* CanonicalizeCounter() {
+  static telemetry::Counter* const c =
+      telemetry::MetricsRegistry::Default()->GetCounter(
+          "cq_canonicalize_total");
+  return c;
+}
 
 constexpr rdf::Column kColumns[3] = {rdf::Column::kS, rdf::Column::kP,
                                      rdf::Column::kO};
@@ -148,6 +156,7 @@ struct Searcher {
 }  // namespace
 
 CanonicalForm Canonicalize(const ConjunctiveQuery& q, bool include_head) {
+  CanonicalizeCounter()->Add(1);
   CanonicalForm result;
   if (q.atoms().empty()) {
     result.repr = include_head ? "|head:" : "";

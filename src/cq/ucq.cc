@@ -4,7 +4,7 @@
 
 namespace rdfviews::cq {
 
-bool UnionOfQueries::Add(ConjunctiveQuery q) {
+std::string UnionOfQueries::DedupKey(const ConjunctiveQuery& q) {
   // Head order is significant for a UCQ (all disjuncts share the head
   // schema), but head terms are included in the canonical form as a set;
   // we append the ordered head explicitly to keep order-sensitivity.
@@ -21,7 +21,14 @@ bool UnionOfQueries::Add(ConjunctiveQuery q) {
              ",";
     }
   }
-  if (!canonical_.insert(key).second) return false;
+  return key;
+}
+
+bool UnionOfQueries::Add(ConjunctiveQuery q) {
+  if (!disjuncts_.empty()) {
+    if (canonical_.empty()) canonical_.insert(DedupKey(disjuncts_.front()));
+    if (!canonical_.insert(DedupKey(q)).second) return false;
+  }
   disjuncts_.push_back(std::move(q));
   return true;
 }

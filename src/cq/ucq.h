@@ -13,7 +13,10 @@
 namespace rdfviews::cq {
 
 /// A union of conjunctive queries with identical head arity. Disjuncts are
-/// de-duplicated up to variable renaming via canonical forms.
+/// de-duplicated up to variable renaming via canonical forms. The dedup
+/// index is built lazily: the first disjunct is stored without a key and
+/// canonicalized only when a second one arrives, so a one-disjunct union
+/// (a view definition outside post-reformulation) never canonicalizes.
 class UnionOfQueries {
  public:
   UnionOfQueries() = default;
@@ -36,8 +39,12 @@ class UnionOfQueries {
   std::string ToString(const rdf::Dictionary* dict = nullptr) const;
 
  private:
+  /// Renaming-insensitive, head-order-sensitive dedup key of `q`.
+  static std::string DedupKey(const ConjunctiveQuery& q);
+
   std::string name_ = "q";
   std::vector<ConjunctiveQuery> disjuncts_;
+  /// Dedup keys of every disjunct; empty while there is at most one.
   std::unordered_set<std::string> canonical_;
 };
 

@@ -13,6 +13,7 @@
 // the head order. With a single partition everything is shared, not copied
 // — the monolithic path stays byte-identical to the pre-pipeline selector.
 #include <algorithm>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 
@@ -79,27 +80,26 @@ size_t MergeStates(const PartitionPlan& plan,
   // Canonical key -> (owning partition, merged view id). Views identical up
   // to renaming within one partition are deliberately NOT folded: the
   // monolithic search keeps them too, and stage 4 must not out-optimize it.
-  std::unordered_map<std::string, std::pair<size_t, uint32_t>> canon;
+  // The keys view the partition best states' memoized strings, which
+  // outlive this call.
+  std::unordered_map<std::string_view, std::pair<size_t, uint32_t>> canon;
   for (size_t p = 0; p < results.size(); ++p) {
     if (!results[p].ok()) continue;
     const State& best = results[p].result.search.best;
     const cq::VarId var_offset = var_base;
     std::unordered_map<uint32_t, uint32_t> id_map;
     for (const View& v : best.views()) {
-      auto it = canon.find(v.CanonicalKey());
+      const std::string_view key = v.CanonicalKey();
+      auto it = canon.find(key);
       if (it != canon.end() && it->second.first != p) {
         id_map[v.id] = it->second.second;
         ++folded;
         continue;
       }
-      View nv;
-      nv.id = next_id++;
-      nv.def = v.def;
-      nv.def.OffsetVars(var_offset);
-      nv.def.set_name(nv.Name());
-      id_map[v.id] = nv.id;
-      canon.try_emplace(v.CanonicalKey(), p, nv.id);
-      merged->AddView(MakeView(std::move(nv)));
+      const uint32_t id = next_id++;
+      id_map[v.id] = id;
+      canon.try_emplace(key, p, id);
+      merged->AddView(MakeView(v.Rebased(id, var_offset)));
     }
     auto map_view = [&id_map](uint32_t id) {
       auto mi = id_map.find(id);

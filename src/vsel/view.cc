@@ -16,6 +16,7 @@
 #include <unordered_map>
 #include <utility>
 
+#include "common/logging.h"
 #include "common/telemetry/metrics.h"
 
 namespace rdfviews::vsel {
@@ -96,6 +97,9 @@ void View::ComputeCostHashes() const {
 }
 
 void View::FillIdentityCached() const {
+  if (cost_hash_ready_ && canonical_ready_ && body_ready_ && hash_ready_) {
+    return;
+  }
   size_t body_len = 0;
   std::string key = StructuralKey(&body_len);
   if (!cost_hash_ready_) {
@@ -136,6 +140,16 @@ void View::FillIdentityCached() const {
   MissCounter()->Add(1);
   std::lock_guard<std::mutex> lock(shard.mu);
   shard.map.emplace(std::move(key), std::move(id));
+}
+
+View View::Rebased(uint32_t new_id, cq::VarId var_offset) const {
+  RDFVIEWS_DCHECK(cost_hash_ready_ && canonical_ready_ && body_ready_ &&
+                  hash_ready_);
+  View out = *this;  // copies the def and every memoized key
+  out.id = new_id;
+  out.def.OffsetVars(var_offset);
+  out.def.set_name(out.Name());
+  return out;
 }
 
 }  // namespace rdfviews::vsel

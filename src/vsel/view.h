@@ -90,8 +90,18 @@ struct View {
   /// canonical strings and hashes. Search transitions re-derive the same
   /// few distinct views tens of thousands of times, so the expensive
   /// canonicalizations run only on the first derivation; every later
-  /// MakeView of an equal def copies the cached identity.
+  /// MakeView of an equal def copies the cached identity. Returns at once
+  /// when every key is already filled (e.g., a Rebased copy).
   void FillIdentityCached() const;
+
+  /// This view re-based into another id and variable space: id `new_id`,
+  /// every variable shifted by `var_offset`, and the def named Name(). A
+  /// variable offset is a renaming, and every memoized key is
+  /// renaming-insensitive, so the copy inherits the keys instead of
+  /// recomputing them (no canonicalization, no identity-cache lookup).
+  /// Never writes to `*this`, which may be shared across sessions; it must
+  /// be fully keyed, as every View published by MakeView is.
+  View Rebased(uint32_t new_id, cq::VarId var_offset) const;
 
  private:
   /// The dense-renamed structural byte key: atoms in literal order with

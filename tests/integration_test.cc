@@ -104,12 +104,14 @@ TEST_F(PipelineFixture, ReformulationGrowsBartonWorkloads) {
 }
 
 TEST_F(PipelineFixture, HeuristicsShrinkTheSearchSpace) {
-  // Figure 5's qualitative content, at test scale.
+  // Figure 5's qualitative content, at test scale. No time budget: the
+  // state budget alone ends both runs, so the comparison does not depend
+  // on how fast the machine is.
   vsel::ViewSelector selector(&store_, &dict_);
   vsel::TuningConfig none;
   none.heuristics.avf = false;
   none.heuristics.stop_var = false;
-  none.limits.time_budget_sec = 2.0;
+  none.limits.time_budget_sec = 0;
   none.limits.max_states = 20000;
   vsel::TuningConfig both;
   both.heuristics.avf = true;

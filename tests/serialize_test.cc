@@ -210,6 +210,60 @@ TEST(SerializeQueryTest, RoundTripRandomQueries) {
   }
 }
 
+// DeserializeUnion's structural rejections, fed with disjuncts written by
+// SerializeQuery under a hand-written union header.
+std::string UnionBytes(const std::vector<cq::ConjunctiveQuery>& disjuncts) {
+  ByteWriter w;
+  w.Str("v0");
+  w.U64(disjuncts.size());
+  for (const cq::ConjunctiveQuery& q : disjuncts) SerializeQuery(q, &w);
+  return w.bytes();
+}
+
+TEST(SerializeUnionTest, DuplicateDisjunctIsRejected) {
+  rdf::Dictionary dict;
+  cq::ConjunctiveQuery q =
+      MustParse("v0(X, Z) :- t(X, a:p1, Y), t(Y, a:p2, Z)", &dict);
+  cq::ConjunctiveQuery other =
+      MustParse("v0(X, Z) :- t(X, a:p1, Y), t(Y, a:p3, Z)", &dict);
+  // The renamed copy comes second, so it is checked against the index
+  // built lazily for the first disjunct.
+  cq::ConjunctiveQuery renamed = q;
+  renamed.OffsetVars(10);
+  ASSERT_FALSE(renamed == q);
+
+  const std::string distinct_bytes = UnionBytes({q, other});
+  ByteReader distinct(distinct_bytes);
+  Result<cq::UnionOfQueries> ok = DeserializeUnion(&distinct);
+  ASSERT_TRUE(ok.ok()) << ok.status().ToString();
+  EXPECT_TRUE(distinct.AtEnd());
+  EXPECT_EQ(ok->size(), 2u);
+
+  const std::string dup_bytes = UnionBytes({q, renamed});
+  ByteReader dup(dup_bytes);
+  Result<cq::UnionOfQueries> back = DeserializeUnion(&dup);
+  ASSERT_FALSE(back.ok());
+  EXPECT_EQ(back.status().code(), StatusCode::kParseError);
+  EXPECT_NE(back.status().message().find("duplicate disjunct"),
+            std::string::npos)
+      << back.status().ToString();
+}
+
+TEST(SerializeUnionTest, MismatchedArityIsRejected) {
+  rdf::Dictionary dict;
+  cq::ConjunctiveQuery binary =
+      MustParse("v0(X, Z) :- t(X, a:p1, Y), t(Y, a:p2, Z)", &dict);
+  cq::ConjunctiveQuery unary = MustParse("v0(X) :- t(X, a:p1, a:c1)", &dict);
+  const std::string bytes = UnionBytes({binary, unary});
+  ByteReader r(bytes);
+  Result<cq::UnionOfQueries> back = DeserializeUnion(&r);
+  ASSERT_FALSE(back.ok());
+  EXPECT_EQ(back.status().code(), StatusCode::kParseError);
+  EXPECT_NE(back.status().message().find("mismatched arities"),
+            std::string::npos)
+      << back.status().ToString();
+}
+
 TEST(SerializeStatsTest, RoundTripAllFields) {
   SearchStats stats;
   stats.created = 101;

@@ -7,6 +7,7 @@
 // the async handle's Poll / Current / Cancel / Wait lifecycle.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -16,6 +17,7 @@
 #include <vector>
 
 #include "common/fault.h"
+#include "common/telemetry/metrics.h"
 #include "engine/evaluator.h"
 #include "test_util.h"
 #include "vsel/pipeline/pipeline.h"
@@ -88,6 +90,16 @@ void ExpectSameRecommendation(const Recommendation& incremental,
   EXPECT_TRUE(scratch.stats.completed);
 }
 
+/// Registry counters that move only when a query is canonicalized or a view
+/// identity is looked up: cq_canonicalize_total and the view identity
+/// cache's hits and misses.
+std::array<uint64_t, 3> CanonicalizationCounters() {
+  telemetry::MetricsRegistry* reg = telemetry::MetricsRegistry::Default();
+  return {reg->GetCounter("cq_canonicalize_total")->Value(),
+          reg->GetCounter("vsel_view_identity_cache_hits_total")->Value(),
+          reg->GetCounter("vsel_view_identity_cache_misses_total")->Value()};
+}
+
 class SessionEquivalenceTest : public ::testing::TestWithParam<StrategyKind> {
 };
 
@@ -132,8 +144,12 @@ TEST_P(SessionEquivalenceTest, RemoveThenReaddServesFromCache) {
   Result<Recommendation> rec0 = session.Update(fx.initial);
   ASSERT_TRUE(rec0.ok()) << rec0.status().ToString();
 
-  // Dropping family b leaves a and c untouched: zero searches.
+  // Dropping family b leaves a and c untouched: zero searches. The merge
+  // re-bases the cached views, which keep their identity, and packages
+  // each one as a one-disjunct union, which never canonicalizes.
+  const std::array<uint64_t, 3> before_drop = CanonicalizationCounters();
   Result<Recommendation> dropped = session.Update({}, {"q3"});
+  EXPECT_EQ(CanonicalizationCounters(), before_drop);
   ASSERT_TRUE(dropped.ok()) << dropped.status().ToString();
   EXPECT_EQ(session.workload().size(), 3u);
   EXPECT_EQ(dropped->pipeline.partitions_searched, 0u);
@@ -144,7 +160,9 @@ TEST_P(SessionEquivalenceTest, RemoveThenReaddServesFromCache) {
 
   // Re-adding q3 restores a cached key: still zero searches, and the
   // recommendation is the original one again.
+  const std::array<uint64_t, 3> before_readd = CanonicalizationCounters();
   Result<Recommendation> readded = session.Update({fx.initial[2]});
+  EXPECT_EQ(CanonicalizationCounters(), before_readd);
   ASSERT_TRUE(readded.ok()) << readded.status().ToString();
   EXPECT_EQ(readded->pipeline.partitions_searched, 0u);
   EXPECT_EQ(readded->pipeline.partitions_reused, 3u);

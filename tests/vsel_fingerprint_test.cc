@@ -4,8 +4,9 @@
 //  - fingerprints agree with the (collision-free) string signatures on
 //    duplicate detection;
 //  - the id->index map stays in sync with the view storage;
-//  - the memoized cost model is value-identical to the uncached reference.
-// All verified on randomized transition walks.
+//  - the memoized cost model is value-identical to the uncached reference;
+//  - a re-based view inherits exactly the keys its offset def would get.
+// All verified on randomized transition walks or searches.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -14,6 +15,7 @@
 #include "rdf/statistics.h"
 #include "test_util.h"
 #include "vsel/cost_model.h"
+#include "vsel/search.h"
 #include "vsel/state.h"
 #include "vsel/transitions.h"
 
@@ -142,6 +144,57 @@ TEST_P(FingerprintWalkTest, FingerprintIsOrderIndependent) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FingerprintWalkTest,
                          ::testing::Values(11, 22, 33, 44, 55, 66, 77, 88));
+
+// Merge re-bases each partition's views into fresh ids and a shifted
+// variable range. View::Rebased copies the memoized keys instead of
+// recomputing them; each copied key must equal what a stack View holding
+// the offset def computes lazily, without the identity cache.
+TEST(RebasedViewTest, InheritsTheKeysOfItsOffsetDef) {
+  for (uint64_t seed : {11u, 22u, 33u}) {
+    rdf::Dictionary dict;
+    rdf::TripleStore store = RandomStore(&dict, 60, 8, 4, seed + 2000);
+    Rng rng(seed * 17 + 5);
+    std::vector<cq::ConjunctiveQuery> workload;
+    for (int i = 0; i < 2; ++i) {
+      workload.push_back(RandomQuery(store, 3, 2, rng.raw()));
+      workload.back().set_name("q" + std::to_string(i));
+    }
+    State s0 = *MakeInitialState(workload);
+    rdf::Statistics stats(&store);
+    CostModel model(&stats, CostWeights{});
+    SearchLimits limits;
+    limits.max_states = 2000;
+    Result<SearchResult> searched =
+        RunSearch(StrategyKind::kDfs, s0, model, HeuristicOptions{}, limits);
+    ASSERT_TRUE(searched.ok()) << searched.status().ToString();
+
+    for (const State* s : {&s0, &searched->best}) {
+      for (const View& v : s->views()) {
+        const cq::ConjunctiveQuery source_def = v.def;
+        for (cq::VarId offset : {0u, 7u, 1000u}) {
+          const uint32_t id = v.id + 100;
+          View rebased = v.Rebased(id, offset);
+          View fresh;
+          fresh.id = id;
+          fresh.def = v.def;
+          fresh.def.OffsetVars(offset);
+          fresh.def.set_name(fresh.Name());
+
+          EXPECT_EQ(rebased.id, id);
+          EXPECT_EQ(rebased.def, fresh.def);
+          EXPECT_EQ(rebased.def.name(), fresh.def.name());
+          EXPECT_EQ(rebased.CanonicalKey(), fresh.CanonicalKey());
+          EXPECT_EQ(rebased.BodyKey(), fresh.BodyKey());
+          EXPECT_EQ(rebased.StructuralHash(), fresh.StructuralHash());
+          EXPECT_EQ(rebased.CostHash(), fresh.CostHash());
+          EXPECT_EQ(rebased.CostBodyHash(), fresh.CostBodyHash());
+        }
+        EXPECT_EQ(v.def, source_def);
+        EXPECT_EQ(v.def.name(), source_def.name());
+      }
+    }
+  }
+}
 
 // The raw estimators are atom-order-sensitive (join-reduction factors and
 // widths anchor on literal first occurrences), so the interner must NOT
