@@ -1,9 +1,9 @@
 #include "cq/canonical.h"
 
 #include <algorithm>
+#include <charconv>
 #include <map>
 #include <set>
-#include <sstream>
 
 #include "common/logging.h"
 #include "common/telemetry/metrics.h"
@@ -23,6 +23,14 @@ constexpr rdf::Column kColumns[3] = {rdf::Column::kS, rdf::Column::kP,
                                      rdf::Column::kO};
 constexpr int kMaxBacktrackNodes = 200000;
 
+/// Appends the decimal digits of `v`.
+template <typename Int>
+void AppendDecimal(std::string* out, Int v) {
+  char buf[24];
+  auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), v);
+  out->append(buf, end);
+}
+
 /// Stable invariant of one atom, independent of variable identities:
 /// constants are spelled out, variables are described by (head?, global
 /// occurrence count, intra-atom repetition pattern).
@@ -30,29 +38,35 @@ std::string AtomInvariant(const ConjunctiveQuery& q, const Atom& atom,
                           const std::unordered_map<VarId, int>& var_degree,
                           const std::unordered_map<VarId, int>& var_color,
                           bool include_head) {
-  std::ostringstream out;
+  std::string out;
   for (int i = 0; i < 3; ++i) {
     Term t = atom.at(kColumns[i]);
-    if (i > 0) out << ",";
+    if (i > 0) out += ',';
     if (t.is_const()) {
-      out << "c" << t.constant();
+      out += 'c';
+      AppendDecimal(&out, t.constant());
       continue;
     }
-    out << "v";
-    if (include_head && q.IsHeadVar(t.var())) out << "h";
-    out << "d" << var_degree.at(t.var());
+    out += 'v';
+    if (include_head && q.IsHeadVar(t.var())) out += 'h';
+    out += 'd';
+    AppendDecimal(&out, var_degree.at(t.var()));
     auto color = var_color.find(t.var());
-    if (color != var_color.end()) out << "k" << color->second;
+    if (color != var_color.end()) {
+      out += 'k';
+      AppendDecimal(&out, color->second);
+    }
     // Intra-atom repetition: first earlier position holding the same var.
     for (int j = 0; j < i; ++j) {
       Term earlier = atom.at(kColumns[j]);
       if (earlier.is_var() && earlier.var() == t.var()) {
-        out << "=" << j;
+        out += '=';
+        AppendDecimal(&out, j);
         break;
       }
     }
   }
-  return out.str();
+  return out;
 }
 
 struct Searcher {
@@ -72,24 +86,25 @@ struct Searcher {
   explicit Searcher(const ConjunctiveQuery& query, bool with_head)
       : q(query), include_head(with_head) {}
 
-  std::string RenderAtom(const Atom& atom,
-                         std::unordered_map<VarId, uint32_t>* vmap) const {
-    std::ostringstream out;
-    out << "t(";
+  /// Appends the atom's rendering under `vmap`, numbering variables not
+  /// yet in it by first occurrence.
+  void RenderAtom(const Atom& atom, std::unordered_map<VarId, uint32_t>* vmap,
+                  std::string* out) const {
+    *out += "t(";
     for (int i = 0; i < 3; ++i) {
-      if (i > 0) out << ",";
+      if (i > 0) *out += ',';
       Term t = atom.at(kColumns[i]);
       if (t.is_const()) {
-        out << "#" << t.constant();
+        *out += '#';
+        AppendDecimal(out, t.constant());
       } else {
         auto [it, inserted] =
             vmap->emplace(t.var(), static_cast<uint32_t>(vmap->size()));
-        out << (include_head && q.IsHeadVar(t.var()) ? "H" : "V")
-            << it->second;
+        *out += (include_head && q.IsHeadVar(t.var())) ? 'H' : 'V';
+        AppendDecimal(out, it->second);
       }
     }
-    out << ")";
-    return out.str();
+    *out += ')';
   }
 
   void Finish() {
@@ -97,7 +112,7 @@ struct Searcher {
     std::unordered_map<VarId, uint32_t> vmap;
     std::string repr;
     for (uint32_t idx : order) {
-      repr += RenderAtom(q.atoms()[idx], &vmap);
+      RenderAtom(q.atoms()[idx], &vmap, &repr);
       repr += ";";
     }
     if (include_head) {
@@ -248,7 +263,7 @@ CanonicalForm Canonicalize(const ConjunctiveQuery& q, bool include_head) {
     std::unordered_map<VarId, uint32_t> vmap;
     std::string repr;
     for (const auto& [inv, idx] : keyed) {
-      repr += searcher.RenderAtom(q.atoms()[idx], &vmap);
+      searcher.RenderAtom(q.atoms()[idx], &vmap, &repr);
       repr += ";";
     }
     result.repr = repr;

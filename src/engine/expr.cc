@@ -18,7 +18,7 @@ uint64_t MaskOfChildren(const std::vector<ExprPtr>& children) {
 }  // namespace
 
 ExprPtr Expr::Scan(uint32_t view_id, std::vector<cq::VarId> columns) {
-  auto e = std::shared_ptr<Expr>(new Expr(Kind::kScan));
+  auto e = Make(Kind::kScan);
   e->view_id_ = view_id;
   e->scan_mask_ = ScanMaskBit(view_id);
   e->columns_ = std::move(columns);
@@ -26,7 +26,7 @@ ExprPtr Expr::Scan(uint32_t view_id, std::vector<cq::VarId> columns) {
 }
 
 ExprPtr Expr::Select(ExprPtr child, std::vector<Condition> conditions) {
-  auto e = std::shared_ptr<Expr>(new Expr(Kind::kSelect));
+  auto e = Make(Kind::kSelect);
   e->scan_mask_ = child->scan_mask();
   e->children_.push_back(std::move(child));
   e->conditions_ = std::move(conditions);
@@ -34,7 +34,7 @@ ExprPtr Expr::Select(ExprPtr child, std::vector<Condition> conditions) {
 }
 
 ExprPtr Expr::Project(ExprPtr child, std::vector<cq::VarId> columns) {
-  auto e = std::shared_ptr<Expr>(new Expr(Kind::kProject));
+  auto e = Make(Kind::kProject);
   e->scan_mask_ = child->scan_mask();
   e->children_.push_back(std::move(child));
   e->columns_ = std::move(columns);
@@ -43,7 +43,7 @@ ExprPtr Expr::Project(ExprPtr child, std::vector<cq::VarId> columns) {
 
 ExprPtr Expr::Join(ExprPtr left, ExprPtr right,
                    std::vector<std::pair<cq::VarId, cq::VarId>> pairs) {
-  auto e = std::shared_ptr<Expr>(new Expr(Kind::kJoin));
+  auto e = Make(Kind::kJoin);
   e->scan_mask_ = left->scan_mask() | right->scan_mask();
   e->children_.push_back(std::move(left));
   e->children_.push_back(std::move(right));
@@ -53,7 +53,7 @@ ExprPtr Expr::Join(ExprPtr left, ExprPtr right,
 
 ExprPtr Expr::Rename(ExprPtr child,
                      std::unordered_map<cq::VarId, cq::VarId> mapping) {
-  auto e = std::shared_ptr<Expr>(new Expr(Kind::kRename));
+  auto e = Make(Kind::kRename);
   e->scan_mask_ = child->scan_mask();
   e->children_.push_back(std::move(child));
   e->rename_ = std::move(mapping);
@@ -62,14 +62,14 @@ ExprPtr Expr::Rename(ExprPtr child,
 
 ExprPtr Expr::Union(std::vector<ExprPtr> children) {
   RDFVIEWS_CHECK(!children.empty());
-  auto e = std::shared_ptr<Expr>(new Expr(Kind::kUnion));
+  auto e = Make(Kind::kUnion);
   e->scan_mask_ = MaskOfChildren(children);
   e->children_ = std::move(children);
   return e;
 }
 
 ExprPtr Expr::Arrange(ExprPtr child, std::vector<ArrangeCol> spec) {
-  auto e = std::shared_ptr<Expr>(new Expr(Kind::kArrange));
+  auto e = Make(Kind::kArrange);
   e->scan_mask_ = child->scan_mask();
   e->children_.push_back(std::move(child));
   e->arrange_ = std::move(spec);
@@ -139,7 +139,7 @@ ExprPtr Expr::ReplaceScans(
     new_children.push_back(std::move(nc));
   }
   if (!changed) return root;
-  auto e = std::shared_ptr<Expr>(new Expr(root->kind_));
+  auto e = Make(root->kind_);
   e->view_id_ = root->view_id_;
   e->scan_mask_ = MaskOfChildren(new_children);
   e->columns_ = root->columns_;
@@ -211,7 +211,7 @@ ExprPtr Expr::Remap(const ExprPtr& root,
     }
   }
   if (!changed) return root;
-  auto e = std::shared_ptr<Expr>(new Expr(root->kind_));
+  auto e = Make(root->kind_);
   e->view_id_ = new_view_id;
   e->scan_mask_ = root->kind_ == Kind::kScan ? ScanMaskBit(new_view_id)
                                              : MaskOfChildren(new_children);

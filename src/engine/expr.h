@@ -49,6 +49,11 @@ struct ArrangeCol {
 };
 
 class Expr {
+  /// Admits only Expr's own factories to the public constructor below.
+  struct PrivateTag {
+    explicit PrivateTag() = default;
+  };
+
  public:
   enum class Kind {
     kScan,     // view scan; output columns = the view's column names
@@ -59,6 +64,11 @@ class Expr {
     kUnion,    // positional union of children (set semantics)
     kArrange,  // reorders / extends child columns with constants
   };
+
+  /// Node and shared-pointer control block are one allocation: the
+  /// factories build nodes through std::make_shared, which needs a public
+  /// constructor, and the private tag keeps every other caller out.
+  Expr(PrivateTag, Kind kind) : kind_(kind) {}
 
   Kind kind() const { return kind_; }
 
@@ -128,7 +138,9 @@ class Expr {
       const rdf::Dictionary* dict = nullptr) const;
 
  private:
-  explicit Expr(Kind kind) : kind_(kind) {}
+  static std::shared_ptr<Expr> Make(Kind kind) {
+    return std::make_shared<Expr>(PrivateTag{}, kind);
+  }
 
   Kind kind_;
   uint32_t view_id_ = 0;

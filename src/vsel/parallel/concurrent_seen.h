@@ -55,6 +55,16 @@ class ConcurrentSeenSet {
     return Outcome::kReopened;
   }
 
+  /// True when AdmitAtPhase(fp, phase) would return kRejected. Read-only.
+  /// A recorded stratum only ever decreases, so a true answer holds for
+  /// every later AdmitAtPhase; a false one may be stale.
+  bool Rejects(const StateFingerprint& fp, int phase) const {
+    const Shard& sh = shards_[static_cast<size_t>(fp.lo) & mask_];
+    std::lock_guard<std::mutex> lock(sh.mu);
+    auto it = sh.map.find(fp);
+    return it != sh.map.end() && it->second <= phase;
+  }
+
   /// Seeds an entry (initial state, AVF closure of S0); keeps an existing
   /// entry untouched.
   void Insert(const StateFingerprint& fp, int phase) {
@@ -71,7 +81,7 @@ class ConcurrentSeenSet {
 
  private:
   struct alignas(64) Shard {
-    std::mutex mu;
+    mutable std::mutex mu;
     std::unordered_map<StateFingerprint, int, Hash128Hasher> map;
   };
 

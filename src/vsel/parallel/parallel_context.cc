@@ -83,6 +83,7 @@ void ParallelSearchContext::Init(const State& s0) {
     if (steps > 0) {
       totals_.created += steps;
       totals_.discarded += steps - 1;  // intermediates; the fixpoint is kept
+      unclosed_s0_ = s0.fingerprint();
       seen.Insert(closed.fingerprint(), 0);
       double c = cost->StateCost(closed);
       best.Offer(closed, c, deadline.ElapsedSeconds());
@@ -112,12 +113,12 @@ bool ParallelSearchContext::OutOfBudget() {
 }
 
 std::optional<ParallelSearchContext::Admitted> ParallelSearchContext::Admit(
-    State s, int phase, SearchStats* stats, Arena* arena) {
+    State s, int phase, WorkerLocal* local) {
+  SearchStats* stats = &local->stats;
   ++stats->created;
   ++stats->transitions_applied;
   if (heur.avf) {
-    size_t steps = 0;
-    s = AvfClosure(s, topts, &steps, arena);
+    const size_t steps = CloseUnderVf(&s, topts, &local->arena);
     stats->created += steps;
     stats->discarded += steps;
   }
@@ -149,16 +150,38 @@ std::optional<ParallelSearchContext::Admitted> ParallelSearchContext::Admit(
   return Admitted{std::move(s), c};
 }
 
-void ParallelSearchContext::MergeWorkerStats(const SearchStats& local) {
+std::optional<ParallelSearchContext::Admitted>
+ParallelSearchContext::AdmitSuccessor(const State& parent, const Transition& t,
+                                      int phase, WorkerLocal* local) {
+  PreparedTransition prepared;
+  PrepareTransition(parent, t, &prepared);
+  // Exact for the reason the serial KnownDuplicate is; a stale "not seen"
+  // answer only falls back to the full path.
+  const bool unclosed =
+      unclosed_s0_.has_value() && prepared.fingerprint == *unclosed_s0_;
+  if (!unclosed && seen.Rejects(prepared.fingerprint, phase)) {
+    // What Admit adds for a duplicate.
+    ++local->stats.created;
+    ++local->stats.transitions_applied;
+    ++local->stats.duplicates;
+    ++local->skipped;
+    return std::nullopt;
+  }
+  return Admit(BuildTransition(parent, prepared, &local->arena), phase, local);
+}
+
+void ParallelSearchContext::MergeWorker(const WorkerLocal& local) {
   std::lock_guard<std::mutex> lock(stats_mu_);
-  totals_.created += local.created;
-  totals_.duplicates += local.duplicates;
-  totals_.discarded += local.discarded;
-  totals_.explored += local.explored;
-  totals_.transitions_applied += local.transitions_applied;
+  totals_.created += local.stats.created;
+  totals_.duplicates += local.stats.duplicates;
+  totals_.discarded += local.stats.discarded;
+  totals_.explored += local.stats.explored;
+  totals_.transitions_applied += local.stats.transitions_applied;
+  skipped_ += local.skipped;
 }
 
 SearchResult ParallelSearchContext::Finish(bool completed) {
+  internal::SkippedSuccessorsCounter()->Add(skipped_);
   SearchStats stats = totals_;
   stats.time_exhausted = time_exhausted_.load(std::memory_order_relaxed);
   stats.memory_exhausted = memory_exhausted_.load(std::memory_order_relaxed);

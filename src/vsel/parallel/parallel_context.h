@@ -61,6 +61,16 @@ class BestTracker {
   std::vector<std::pair<double, double>> trace_;
 };
 
+/// What one worker owns privately: its counters, merged into the run
+/// totals when it exits, and the arena backing the states it creates.
+struct WorkerLocal {
+  SearchStats stats;
+  /// Successors skipped as known duplicates (see AdmitSuccessor).
+  uint64_t skipped = 0;
+  /// Never shared across workers; its blocks outlive it via refcounts.
+  Arena arena;
+};
+
 /// Shared context of one parallel run. Construction + Init happen on the
 /// caller's thread; afterwards every member is either immutable (options,
 /// start state, armed stop conditions), internally synchronized (seen-set,
@@ -91,15 +101,20 @@ class ParallelSearchContext {
 
   /// The serial Admit against the shared structures: AVF closure, stop
   /// conditions, concurrent duplicate detection with stratum re-opening,
-  /// and best tracking. Counter traffic goes to the worker-local `stats`;
-  /// `arena` (optional) backs the flat storage of any closure states — pass
-  /// the calling worker's arena, never one shared across workers.
-  std::optional<Admitted> Admit(State s, int phase, SearchStats* stats,
-                                Arena* arena = nullptr);
+  /// and best tracking. Counters and closure states go to the calling
+  /// worker's `local`.
+  std::optional<Admitted> Admit(State s, int phase, WorkerLocal* local);
+
+  /// The serial AdmitSuccessor: a successor whose fingerprint the seen-set
+  /// already rejects at `phase` is counted as a duplicate without being
+  /// built; every other successor is built and handed to Admit.
+  std::optional<Admitted> AdmitSuccessor(const State& parent,
+                                         const Transition& t, int phase,
+                                         WorkerLocal* local);
 
   /// Merges a worker's local counters into the run totals (call once per
   /// worker, as it exits).
-  void MergeWorkerStats(const SearchStats& local);
+  void MergeWorker(const WorkerLocal& local);
 
   /// Aggregates everything into the final result.
   SearchResult Finish(bool completed);
@@ -117,12 +132,15 @@ class ParallelSearchContext {
  private:
   bool stop_var_active_ = true;
   bool stop_tt_active_ = true;
+  /// S0's fingerprint when Init fused S0 (see the serial context).
+  std::optional<StateFingerprint> unclosed_s0_;
   std::atomic<bool> stop_{false};
   std::atomic<bool> time_exhausted_{false};
   std::atomic<bool> memory_exhausted_{false};
   std::atomic<bool> cancelled_{false};
   std::mutex stats_mu_;
   SearchStats totals_;  // Init traffic + merged worker counters
+  uint64_t skipped_ = 0;  // merged worker skip counts
 };
 
 }  // namespace parallel

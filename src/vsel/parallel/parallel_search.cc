@@ -5,7 +5,6 @@
 #include <mutex>
 #include <vector>
 
-#include "common/arena.h"
 #include "common/telemetry/metrics.h"
 #include "common/thread_pool.h"
 #include "vsel/parallel/parallel_context.h"
@@ -68,12 +67,12 @@ struct ExEntry {
 /// One round-robin visit: apply transitions until one produces a new state
 /// (pushing it onto the frontier), then requeue the entry if transitions
 /// remain — the serial discipline, executed concurrently per entry.
-/// `arena` is the calling worker's arena; the entry itself may have been
-/// created on another worker's arena (published via the frontier mutex),
-/// but all states produced here land on the caller's.
+/// `local` is the calling worker's; the entry itself may have been created
+/// on another worker's arena (published via the frontier mutex), but all
+/// states produced here land on the caller's.
 void ProcessExEntry(ParallelSearchContext* ctx,
                     ShardedFrontier<ExEntry>* frontier, bool stratified,
-                    ExEntry entry, SearchStats* local, Arena* arena) {
+                    ExEntry entry, WorkerLocal* local) {
   if (!entry.loaded) {
     entry.loaded = true;
     // One batched sweep fills the entry's buffer in kind-major order,
@@ -87,9 +86,7 @@ void ProcessExEntry(ParallelSearchContext* ctx,
     if (ctx->OutOfBudget()) return;  // anytime truncation: drop the entry
     const Transition& t = entry.transitions[entry.next++];
     int phase = stratified ? static_cast<int>(t.kind) : 0;
-    auto admitted =
-        ctx->Admit(ApplyTransition(entry.state, t, arena), phase, local,
-                   arena);
+    auto admitted = ctx->AdmitSuccessor(entry.state, t, phase, local);
     if (admitted.has_value()) {
       frontier->Push(
           ShardHint(admitted->state.fingerprint()),
@@ -100,7 +97,7 @@ void ProcessExEntry(ParallelSearchContext* ctx,
   if (entry.next < entry.transitions.size()) {
     frontier->Push(ShardHint(entry.state.fingerprint()), std::move(entry));
   } else {
-    ++local->explored;
+    ++local->stats.explored;
   }
 }
 
@@ -116,8 +113,7 @@ SearchResult RunParallelExhaustive(ParallelSearchContext* ctx,
     ThreadPool pool(workers);
     for (size_t w = 0; w < workers; ++w) {
       pool.Submit([ctx, &frontier, stratified, w] {
-        SearchStats local;
-        Arena arena;  // worker-private; blocks outlive it via refcounts
+        WorkerLocal local;
         std::vector<ExEntry> batch;
         for (;;) {
           batch.clear();
@@ -125,12 +121,11 @@ SearchResult RunParallelExhaustive(ParallelSearchContext* ctx,
                                        [ctx] { return ctx->OutOfBudget(); });
           if (n == 0) break;
           for (ExEntry& e : batch) {
-            ProcessExEntry(ctx, &frontier, stratified, std::move(e), &local,
-                           &arena);
+            ProcessExEntry(ctx, &frontier, stratified, std::move(e), &local);
           }
           frontier.TaskDone(n);
         }
-        ctx->MergeWorkerStats(local);
+        ctx->MergeWorker(local);
       });
     }
     pool.WaitIdle();
@@ -163,10 +158,10 @@ struct DfsTask {
 /// `depth` mirrors the serial engine's per-depth transition-buffer index.
 void DfsVisitDeep(ParallelSearchContext* ctx,
                   ShardedFrontier<DfsTask>* frontier,
-                  TransitionBufferPool* pool, Arena* arena, const State& s,
-                  int kind, size_t depth, SearchStats* local) {
+                  TransitionBufferPool* pool, const State& s, int kind,
+                  size_t depth, WorkerLocal* local) {
   if (kind >= internal::kNumPhases) {
-    ++local->explored;
+    ++local->stats.explored;
     return;
   }
   TransitionBuffer& buf = pool->At(depth);
@@ -189,16 +184,15 @@ void DfsVisitDeep(ParallelSearchContext* ctx,
       frontier->Push(ShardHint(s.fingerprint()), std::move(rest));
       DonationCounter()->Add(1);
     }
-    auto admitted =
-        ctx->Admit(ApplyTransition(s, buf[i], arena), kind, local, arena);
+    auto admitted = ctx->AdmitSuccessor(s, buf[i], kind, local);
     if (admitted.has_value()) {
-      DfsVisitDeep(ctx, frontier, pool, arena, admitted->state, kind,
-                   depth + 1, local);
+      DfsVisitDeep(ctx, frontier, pool, admitted->state, kind, depth + 1,
+                   local);
     }
     if (donate) return;  // the donated task owns the rest of this node's work
   }
   if (ctx->OutOfBudget()) return;
-  DfsVisitDeep(ctx, frontier, pool, arena, s, kind + 1, depth, local);
+  DfsVisitDeep(ctx, frontier, pool, s, kind + 1, depth, local);
 }
 
 /// Processes one claimed task: applies each sibling transition and explores
@@ -206,8 +200,8 @@ void DfsVisitDeep(ParallelSearchContext* ctx,
 /// starvation exactly like in-recursion nodes do.
 void ProcessDfsTask(ParallelSearchContext* ctx,
                     ShardedFrontier<DfsTask>* frontier,
-                    TransitionBufferPool* pool, Arena* arena, DfsTask task,
-                    SearchStats* local) {
+                    TransitionBufferPool* pool, DfsTask task,
+                    WorkerLocal* local) {
   const State& base = task.base ? *task.base : ctx->start;
   for (size_t i = 0; i < task.ts.size(); ++i) {
     if (ctx->OutOfBudget()) return;
@@ -221,17 +215,15 @@ void ProcessDfsTask(ParallelSearchContext* ctx,
       frontier->Push(ShardHint(base.fingerprint()), std::move(rest));
       DonationCounter()->Add(1);
     }
-    auto admitted = ctx->Admit(ApplyTransition(base, task.ts[i], arena),
-                               task.kind, local, arena);
+    auto admitted = ctx->AdmitSuccessor(base, task.ts[i], task.kind, local);
     if (admitted.has_value()) {
-      DfsVisitDeep(ctx, frontier, pool, arena, admitted->state, task.kind, 0,
-                   local);
+      DfsVisitDeep(ctx, frontier, pool, admitted->state, task.kind, 0, local);
     }
     if (donate) return;  // the re-split task owns the remaining siblings
   }
   if (task.advance_after) {
     if (ctx->OutOfBudget()) return;
-    DfsVisitDeep(ctx, frontier, pool, arena, base, task.kind + 1, 0, local);
+    DfsVisitDeep(ctx, frontier, pool, base, task.kind + 1, 0, local);
   }
 }
 
@@ -256,8 +248,7 @@ SearchResult RunParallelDfs(ParallelSearchContext* ctx, const State& s0,
     ThreadPool pool(workers);
     for (size_t w = 0; w < workers; ++w) {
       pool.Submit([ctx, &frontier, w] {
-        SearchStats local;
-        Arena arena;  // worker-private; blocks outlive it via refcounts
+        WorkerLocal local;
         TransitionBufferPool bufpool;
         std::vector<DfsTask> batch;
         for (;;) {
@@ -268,21 +259,20 @@ SearchResult RunParallelDfs(ParallelSearchContext* ctx, const State& s0,
           if (n == 0) break;
           for (DfsTask& task : batch) {
             if (ctx->OutOfBudget()) continue;
-            ProcessDfsTask(ctx, &frontier, &bufpool, &arena,
-                           std::move(task), &local);
+            ProcessDfsTask(ctx, &frontier, &bufpool, std::move(task), &local);
           }
           frontier.TaskDone(n);
         }
-        ctx->MergeWorkerStats(local);
+        ctx->MergeWorker(local);
       });
     }
     pool.WaitIdle();
   }
   // The root itself tops out the kind ladder (the serial engine counts it
   // explored once its last stratum is done).
-  SearchStats root;
-  root.explored = 1;
-  ctx->MergeWorkerStats(root);
+  WorkerLocal root;
+  root.stats.explored = 1;
+  ctx->MergeWorker(root);
   return ctx->Finish(!ctx->stopped());
 }
 
@@ -304,8 +294,7 @@ SearchResult RunParallelGstr(ParallelSearchContext* ctx, const State& s0,
     frontier.Push(ShardHint(current.fingerprint()), current);
     for (size_t w = 0; w < workers; ++w) {
       pool.Submit([&, w, kind] {
-        SearchStats local;
-        Arena arena;  // worker-private; blocks outlive it via refcounts
+        WorkerLocal local;
         TransitionBuffer buf;
         std::vector<State> batch;
         for (;;) {
@@ -319,9 +308,7 @@ SearchResult RunParallelGstr(ParallelSearchContext* ctx, const State& s0,
                                      ctx->topts, &buf);
             for (const Transition& t : buf) {
               if (ctx->OutOfBudget()) break;
-              auto admitted =
-                  ctx->Admit(ApplyTransition(s, t, &arena), kind, &local,
-                             &arena);
+              auto admitted = ctx->AdmitSuccessor(s, t, kind, &local);
               if (!admitted.has_value()) continue;
               {
                 std::lock_guard<std::mutex> lock(best_mu);
@@ -335,11 +322,11 @@ SearchResult RunParallelGstr(ParallelSearchContext* ctx, const State& s0,
               frontier.Push(ShardHint(admitted->state.fingerprint()),
                             std::move(admitted->state));
             }
-            ++local.explored;
+            ++local.stats.explored;
           }
           frontier.TaskDone(n);
         }
-        ctx->MergeWorkerStats(local);
+        ctx->MergeWorker(local);
       });
     }
     pool.WaitIdle();  // stratum barrier: the closure is complete (or cut)

@@ -17,6 +17,13 @@ namespace internal {
 
 const int kNumPhases = 4;  // VB, SC, JC, VF
 
+telemetry::Counter* SkippedSuccessorsCounter() {
+  static telemetry::Counter* const c =
+      telemetry::MetricsRegistry::Default()->GetCounter(
+          "vsel_successors_skipped_total");
+  return c;
+}
+
 SearchContext::SearchContext(const CostModel* cost_model,
                              const HeuristicOptions& heuristics,
                              const SearchLimits& limits)
@@ -50,6 +57,7 @@ void SearchContext::Init(const State& s0) {
     if (steps > 0) {
       stats.created += steps;
       stats.discarded += steps - 1;  // intermediates; the fixpoint is kept
+      unclosed_s0 = s0.fingerprint();
       seen.emplace(closed.fingerprint(), 0);
       double c = cost->StateCost(closed);
       if (BetterState(c, closed.fingerprint(), best_cost,
@@ -97,8 +105,7 @@ std::optional<SearchContext::Admitted> SearchContext::Admit(State s,
   ++stats.created;
   ++stats.transitions_applied;
   if (heur.avf) {
-    size_t steps = 0;
-    s = AvfClosure(s, topts, &steps, &arena);
+    const size_t steps = CloseUnderVf(&s, topts, &arena);
     stats.created += steps;
     stats.discarded += steps;
   }
@@ -122,7 +129,36 @@ std::optional<SearchContext::Admitted> SearchContext::Admit(State s,
   return Admitted{std::move(s), c};
 }
 
+// Why skipping is exact: every fingerprint in `seen` except an unclosed
+// S0's belongs to a state that passed the stop conditions and, with AVF
+// on, is AVF-closed (S0 itself passes them: ArmStopConditions disarms any
+// condition S0 violates). A successor with that fingerprint has the same
+// views, so it fuses nothing, passes the stop conditions and reaches the
+// same `seen` entry, which Admit rejects iff its stratum is <= `phase`.
+bool SearchContext::KnownDuplicate(const StateFingerprint& fp,
+                                   int phase) const {
+  if (unclosed_s0.has_value() && fp == *unclosed_s0) return false;
+  auto it = seen.find(fp);
+  return it != seen.end() && it->second <= phase;
+}
+
+std::optional<SearchContext::Admitted> SearchContext::AdmitSuccessor(
+    const State& parent, const Transition& t, int phase) {
+  PreparedTransition prepared;
+  PrepareTransition(parent, t, &prepared);
+  if (KnownDuplicate(prepared.fingerprint, phase)) {
+    // What Admit adds for a duplicate.
+    ++stats.created;
+    ++stats.transitions_applied;
+    ++stats.duplicates;
+    ++skipped;
+    return std::nullopt;
+  }
+  return Admit(BuildTransition(parent, prepared, &arena), phase);
+}
+
 SearchResult SearchContext::Finish(bool completed) {
+  SkippedSuccessorsCounter()->Add(skipped);
   stats.completed = completed && !stats.time_exhausted &&
                     !stats.memory_exhausted && !stats.cancelled;
   stats.elapsed_sec = deadline.ElapsedSeconds();
@@ -172,8 +208,7 @@ SearchResult RunExhaustive(SearchContext* ctx, const State& s0,
       if (ctx->OutOfBudget()) return ctx->Finish(false);
       const Transition& t = entry.transitions[entry.next++];
       int phase = stratified ? static_cast<int>(t.kind) : 0;
-      auto admitted =
-          ctx->Admit(ApplyTransition(entry.state, t, &ctx->arena), phase);
+      auto admitted = ctx->AdmitSuccessor(entry.state, t, phase);
       if (admitted.has_value()) {
         cs.push_back(Entry{std::move(admitted->state), phase, {}, false, 0});
         produced = true;
@@ -211,7 +246,7 @@ void DfsVisit(SearchContext* ctx, TransitionBufferPool* pool, const State& s,
                            &buf);
   for (size_t i = 0; i < buf.size(); ++i) {
     if (ctx->OutOfBudget()) return;
-    auto admitted = ctx->Admit(ApplyTransition(s, buf[i], &ctx->arena), kind);
+    auto admitted = ctx->AdmitSuccessor(s, buf[i], kind);
     if (admitted.has_value()) {
       DfsVisit(ctx, pool, admitted->state, kind, depth + 1);
     }
@@ -248,7 +283,7 @@ SearchResult RunGstr(SearchContext* ctx, const State& s0) {
                                ctx->topts, &buf);
       for (const Transition& t : buf) {
         if (ctx->OutOfBudget()) return ctx->Finish(false);
-        auto admitted = ctx->Admit(ApplyTransition(s, t, &ctx->arena), kind);
+        auto admitted = ctx->AdmitSuccessor(s, t, kind);
         if (!admitted.has_value()) continue;
         if (internal::BetterState(admitted->cost,
                                   admitted->state.fingerprint(),

@@ -8,6 +8,7 @@
 
 #include "common/arena.h"
 #include "common/hash.h"
+#include "common/telemetry/metrics.h"
 #include "common/timer.h"
 #include "vsel/cost_model.h"
 #include "vsel/options.h"
@@ -21,6 +22,11 @@ struct SearchResult;
 namespace internal {
 
 extern const int kNumPhases;
+
+/// vsel_successors_skipped_total: successors recognized as known
+/// duplicates before they were built. Each search counts them locally and
+/// adds its total here once, when it finishes.
+telemetry::Counter* SkippedSuccessorsCounter();
 
 /// The deterministic better-than order on (cost, fingerprint) pairs used by
 /// every strategy (serial and parallel) to track the running best: lower
@@ -101,6 +107,16 @@ class SearchContext {
   /// `phase` is the stratum (transition kind) that produced the state.
   std::optional<Admitted> Admit(State s, int phase);
 
+  /// Processes the successor of `parent` under `t`. A known duplicate (see
+  /// KnownDuplicate) is counted exactly as Admit would count it but never
+  /// built; every other successor is built and handed to Admit.
+  std::optional<Admitted> AdmitSuccessor(const State& parent,
+                                         const Transition& t, int phase);
+
+  /// True when Admit would reject a successor with fingerprint `fp` at
+  /// `phase` as a duplicate, whatever its AVF closure.
+  bool KnownDuplicate(const StateFingerprint& fp, int phase) const;
+
   bool ViolatesStopConditions(const State& s) const;
 
   SearchResult Finish(bool completed);
@@ -119,6 +135,11 @@ class SearchContext {
   Arena arena;
   // fingerprint -> min stratum at which the state was reached
   std::unordered_map<StateFingerprint, int, Hash128Hasher> seen;
+  /// S0's fingerprint when Init fused S0: it is in `seen`, but S0 is not
+  /// AVF-closed, so it never proves a successor a duplicate.
+  std::optional<StateFingerprint> unclosed_s0;
+  /// Successors KnownDuplicate skipped; Finish reports them.
+  uint64_t skipped = 0;
   State best;
   /// The state the strategies explore from: S0, or its AVF closure when
   /// aggressive view fusion is on (VF only ever improves the cost, so the

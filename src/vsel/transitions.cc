@@ -94,51 +94,59 @@ cq::ConjunctiveQuery MakeSubView(const cq::ConjunctiveQuery& parent,
   return cq::Minimize(def);
 }
 
-State ApplySc(const State& in, const Transition& t, Arena* arena) {
-  State out = in.CloneForTransition(arena);
-  const View& v = in.views()[t.view_idx];
-  const uint32_t old_id = v.id;
-  const std::vector<cq::VarId> old_cols = v.Columns();
+// Each transition comes in two steps. Prepare reads only the parent: it
+// builds the successor's new views and its fingerprint, taking view ids and
+// variables from the parent's counters in the order the transition always
+// has (SC takes its fresh variable before its view id; VF takes the rename
+// map's fresh variables after its view id). Build copies the parent,
+// installs the prepared views and rewrites the rewritings.
 
+void PrepareSc(const State& in, const Transition& t, PreparedTransition* p) {
+  const View& v = in.views()[t.view_idx];
   cq::Term old_term =
       v.def.atoms()[t.sc_occurrence.atom].at(t.sc_occurrence.column);
   RDFVIEWS_CHECK_MSG(old_term.is_const(), "SC on a non-constant position");
-  const rdf::TermId constant = old_term.constant();
 
-  const cq::VarId w = out.FreshVar();
+  const cq::VarId w = p->next_var++;
   View nv;
-  nv.id = out.FreshViewId();
+  nv.id = p->next_view_id++;
   nv.def = v.def;
   (*nv.def.mutable_atoms())[t.sc_occurrence.atom].set(t.sc_occurrence.column,
                                                       cq::Term::Var(w));
   nv.def.mutable_head()->push_back(cq::Term::Var(w));
   nv.def.set_name(nv.Name());
-  ExprPtr repl = Expr::Project(
-      Expr::Select(Expr::Scan(nv.id, nv.Columns()),
-                   {engine::Condition::Eq(w, constant)}),
-      old_cols);
-  out.ReplaceView(t.view_idx, MakeView(std::move(nv)));
-  SubstituteView(&out, old_id, repl);
-  return out;
+  p->sc_var = w;
+  p->first = MakeView(std::move(nv));
 }
 
-State ApplyJc(const State& in, const Transition& t, Arena* arena) {
-  State out = in.CloneForTransition(arena);
+void BuildSc(const State& in, const PreparedTransition& p, State* out) {
+  const Transition& t = p.t;
   const View& v = in.views()[t.view_idx];
-  const uint32_t old_id = v.id;
-  const std::vector<cq::VarId> old_cols = v.Columns();
+  const rdf::TermId constant =
+      v.def.atoms()[t.sc_occurrence.atom].at(t.sc_occurrence.column)
+          .constant();
+  ExprPtr repl = Expr::Project(
+      Expr::Select(Expr::Scan(p.first->id, p.first->Columns()),
+                   {engine::Condition::Eq(p.sc_var, constant)}),
+      v.Columns());
+  out->ReplaceView(t.view_idx, p.first);
+  SubstituteView(out, v.id, repl);
+}
 
+void PrepareJc(const State& in, const Transition& t, PreparedTransition* p) {
+  const View& v = in.views()[t.view_idx];
   cq::Term replaced =
       v.def.atoms()[t.jc_replace.atom].at(t.jc_replace.column);
   RDFVIEWS_CHECK_MSG(replaced.is_var(), "JC on a non-variable position");
   const cq::VarId x = replaced.var();
-  const cq::VarId xp = out.FreshVar();
+  const cq::VarId xp = p->next_var++;
 
   cq::ConjunctiveQuery def2 = v.def;
   (*def2.mutable_atoms())[t.jc_replace.atom].set(t.jc_replace.column,
                                                  cq::Term::Var(xp));
   AddHeadVar(&def2, x);
   AddHeadVar(&def2, xp);
+  p->jc_pair = {x, xp};
 
   std::vector<int> comp = AtomComponents(def2.atoms());
   int num_comp = *std::max_element(comp.begin(), comp.end()) + 1;
@@ -146,16 +154,11 @@ State ApplyJc(const State& in, const Transition& t, Arena* arena) {
 
   if (num_comp == 1) {
     View nv;
-    nv.id = out.FreshViewId();
+    nv.id = p->next_view_id++;
     nv.def = std::move(def2);
     nv.def.set_name(nv.Name());
-    ExprPtr repl = Expr::Project(
-        Expr::Select(Expr::Scan(nv.id, nv.Columns()),
-                     {engine::Condition::EqVar(x, xp)}),
-        old_cols);
-    out.ReplaceView(t.view_idx, MakeView(std::move(nv)));
-    SubstituteView(&out, old_id, repl);
-    return out;
+    p->first = MakeView(std::move(nv));
+    return;
   }
 
   // The view splits in two: one component holds x's remaining occurrences,
@@ -170,39 +173,47 @@ State ApplyJc(const State& in, const Transition& t, Arena* arena) {
     }
   }
   std::unordered_set<cq::VarId> no_shared;  // components share no variables
-  cq::ConjunctiveQuery def_a = MakeSubView(def2, mask_a, no_shared);
-  cq::ConjunctiveQuery def_b = MakeSubView(def2, mask_b, no_shared);
-
   View va;
-  va.id = out.FreshViewId();
-  va.def = std::move(def_a);
+  va.id = p->next_view_id++;
+  va.def = MakeSubView(def2, mask_a, no_shared);
   va.def.set_name(va.Name());
   View vb;
-  vb.id = out.FreshViewId();
-  vb.def = std::move(def_b);
+  vb.id = p->next_view_id++;
+  vb.def = MakeSubView(def2, mask_b, no_shared);
   vb.def.set_name(vb.Name());
 
   // The explicit join predicate joins x with x'; orient by side.
-  std::unordered_set<cq::VarId> vars_a = VarsOfMask(def2.atoms(), mask_a);
-  std::pair<cq::VarId, cq::VarId> pair =
-      vars_a.contains(x) ? std::make_pair(x, xp) : std::make_pair(xp, x);
-
-  ExprPtr repl = Expr::Project(
-      Expr::Join(Expr::Scan(va.id, va.Columns()),
-                 Expr::Scan(vb.id, vb.Columns()), {pair}),
-      old_cols);
-  out.ReplaceView(t.view_idx, MakeView(std::move(va)));
-  out.AddView(MakeView(std::move(vb)));
-  SubstituteView(&out, old_id, repl);
-  return out;
+  if (!VarsOfMask(def2.atoms(), mask_a).contains(x)) {
+    std::swap(p->jc_pair.first, p->jc_pair.second);
+  }
+  p->first = MakeView(std::move(va));
+  p->second = MakeView(std::move(vb));
 }
 
-State ApplyVb(const State& in, const Transition& t, Arena* arena) {
-  State out = in.CloneForTransition(arena);
+void BuildJc(const State& in, const PreparedTransition& p, State* out) {
+  const Transition& t = p.t;
   const View& v = in.views()[t.view_idx];
-  const uint32_t old_id = v.id;
-  const std::vector<cq::VarId> old_cols = v.Columns();
+  if (p.second == nullptr) {
+    ExprPtr repl = Expr::Project(
+        Expr::Select(
+            Expr::Scan(p.first->id, p.first->Columns()),
+            {engine::Condition::EqVar(p.jc_pair.first, p.jc_pair.second)}),
+        v.Columns());
+    out->ReplaceView(t.view_idx, p.first);
+    SubstituteView(out, v.id, repl);
+    return;
+  }
+  ExprPtr repl = Expr::Project(
+      Expr::Join(Expr::Scan(p.first->id, p.first->Columns()),
+                 Expr::Scan(p.second->id, p.second->Columns()), {p.jc_pair}),
+      v.Columns());
+  out->ReplaceView(t.view_idx, p.first);
+  out->AddView(p.second);
+  SubstituteView(out, v.id, repl);
+}
 
+void PrepareVb(const State& in, const Transition& t, PreparedTransition* p) {
+  const View& v = in.views()[t.view_idx];
   std::unordered_set<cq::VarId> vars_a = VarsOfMask(v.def.atoms(), t.vb_mask_a);
   std::unordered_set<cq::VarId> vars_b = VarsOfMask(v.def.atoms(), t.vb_mask_b);
   std::unordered_set<cq::VarId> shared;
@@ -211,27 +222,30 @@ State ApplyVb(const State& in, const Transition& t, Arena* arena) {
   }
 
   View va;
-  va.id = out.FreshViewId();
+  va.id = p->next_view_id++;
   va.def = MakeSubView(v.def, t.vb_mask_a, shared);
   va.def.set_name(va.Name());
   View vb;
-  vb.id = out.FreshViewId();
+  vb.id = p->next_view_id++;
   vb.def = MakeSubView(v.def, t.vb_mask_b, shared);
   vb.def.set_name(vb.Name());
-
-  // Natural join re-joins on the shared variable names.
-  ExprPtr repl = Expr::Project(
-      Expr::Join(Expr::Scan(va.id, va.Columns()),
-                 Expr::Scan(vb.id, vb.Columns()), {}),
-      old_cols);
-  out.ReplaceView(t.view_idx, MakeView(std::move(va)));
-  out.AddView(MakeView(std::move(vb)));
-  SubstituteView(&out, old_id, repl);
-  return out;
+  p->first = MakeView(std::move(va));
+  p->second = MakeView(std::move(vb));
 }
 
-State ApplyVf(const State& in, const Transition& t, Arena* arena) {
-  State out = in.CloneForTransition(arena);
+void BuildVb(const State& in, const PreparedTransition& p, State* out) {
+  const View& v = in.views()[p.t.view_idx];
+  // Natural join re-joins on the shared variable names.
+  ExprPtr repl = Expr::Project(
+      Expr::Join(Expr::Scan(p.first->id, p.first->Columns()),
+                 Expr::Scan(p.second->id, p.second->Columns()), {}),
+      v.Columns());
+  out->ReplaceView(p.t.view_idx, p.first);
+  out->AddView(p.second);
+  SubstituteView(out, v.id, repl);
+}
+
+void PrepareVf(const State& in, const Transition& t, PreparedTransition* p) {
   const View& v1 = in.views()[t.view_idx];
   const View& v2 = in.views()[t.view_idx2];
 
@@ -239,23 +253,35 @@ State ApplyVf(const State& in, const Transition& t, Arena* arena) {
   cq::CanonicalForm c2 = cq::Canonicalize(v2.def, /*include_head=*/false);
   RDFVIEWS_CHECK_MSG(c1.repr == c2.repr, "VF on non-isomorphic views");
 
-  // mu maps v2 variables onto v1 variables through the canonical indices.
-  std::unordered_map<uint32_t, cq::VarId> inverse_c1;
+  // mu maps v2 variables onto v1 variables through the canonical indices
+  // (dense: 0 .. number of body variables - 1).
+  std::vector<cq::VarId> inverse_c1(c1.var_map.size());
   for (const auto& [var, idx] : c1.var_map) inverse_c1[idx] = var;
-  std::unordered_map<cq::VarId, cq::VarId> mu;
-  for (const auto& [var, idx] : c2.var_map) {
-    auto it = inverse_c1.find(idx);
-    RDFVIEWS_CHECK(it != inverse_c1.end());
-    mu[var] = it->second;
-  }
 
   View v3;
-  v3.id = out.FreshViewId();
+  v3.id = p->next_view_id++;
   v3.def = v1.def;
+  p->vf_head.clear();
   for (const cq::Term& t2 : v2.def.head()) {
-    AddHeadVar(&v3.def, mu.at(t2.var()));
+    auto it = c2.var_map.find(t2.var());
+    RDFVIEWS_CHECK(it != c2.var_map.end() && it->second < inverse_c1.size());
+    const cq::VarId mapped = inverse_c1[it->second];
+    p->vf_head.push_back(mapped);
+    AddHeadVar(&v3.def, mapped);
   }
   v3.def.set_name(v3.Name());
+  // Build names each v3 column that mu does not reach with a fresh
+  // variable: mu is injective, so that is every column past v2's head.
+  p->next_var += static_cast<cq::VarId>(v3.def.head().size() -
+                                        v2.def.head().size());
+  p->first = MakeView(std::move(v3));
+}
+
+void BuildVf(const State& in, const PreparedTransition& p, State* out) {
+  const Transition& t = p.t;
+  const View& v1 = in.views()[t.view_idx];
+  const View& v2 = in.views()[t.view_idx2];
+  const View& v3 = *p.first;
 
   ExprPtr repl1 =
       Expr::Project(Expr::Scan(v3.id, v3.Columns()), v1.Columns());
@@ -264,24 +290,24 @@ State ApplyVf(const State& in, const Transition& t, Arena* arena) {
   // columns: unmapped ones get fresh names so no output name collides with
   // a v2 name (v1 and v2 may share variables after overlapping view breaks).
   std::unordered_map<cq::VarId, cq::VarId> rename;
-  for (const cq::Term& t2 : v2.def.head()) {
-    rename[mu.at(t2.var())] = t2.var();
+  for (size_t i = 0; i < v2.def.head().size(); ++i) {
+    rename[p.vf_head[i]] = v2.def.head()[i].var();
   }
+  cq::VarId fresh = in.next_var();
   for (cq::VarId col : v3.Columns()) {
-    if (!rename.contains(col)) rename[col] = out.FreshVar();
+    if (!rename.contains(col)) rename[col] = fresh++;
   }
+  RDFVIEWS_DCHECK(fresh == p.next_var);
   ExprPtr repl2 = Expr::Project(
-      Expr::Rename(Expr::Scan(v3.id, v3.Columns()), rename), v2.Columns());
+      Expr::Rename(Expr::Scan(v3.id, v3.Columns()), std::move(rename)),
+      v2.Columns());
 
   // Replace v1's slot with v3 and erase v2. The substitutions read v1/v2's
-  // ids, so grab them before the slots change.
-  const uint32_t v1_id = v1.id;
-  const uint32_t v2_id = v2.id;
-  out.ReplaceView(t.view_idx, MakeView(std::move(v3)));
-  out.RemoveView(t.view_idx2);
-  SubstituteView(&out, v1_id, repl1);
-  SubstituteView(&out, v2_id, repl2);
-  return out;
+  // ids from the parent, whose slots do not change.
+  out->ReplaceView(t.view_idx, p.first);
+  out->RemoveView(t.view_idx2);
+  SubstituteView(out, v1.id, repl1);
+  SubstituteView(out, v2.id, repl2);
 }
 
 /// Resolves a view's transition graph: from the interner's per-distinct-view
@@ -441,9 +467,24 @@ void EnumerateScJcStriped(const State& state, const TransitionOptions& options,
   out->insert(out->end(), jc_scratch->begin(), jc_scratch->end());
 }
 
+/// True when two views of `state` have equal memoized body keys, i.e. some
+/// VF transition applies. Most states have none, and this pairwise scan
+/// proves it without building EnumerateVf's bucket map.
+bool HasFusablePair(const State& state) {
+  const ViewList& views = state.views();
+  for (size_t i = 0; i < views.size(); ++i) {
+    for (size_t j = i + 1; j < views.size(); ++j) {
+      if (views[i].BodyKey() == views[j].BodyKey()) return true;
+    }
+  }
+  return false;
+}
+
 void EnumerateVf(const State& state, std::vector<Transition>* out) {
+  if (!HasFusablePair(state)) return;
   // Bucket by the memoized body-only canonical key: shared View objects are
-  // canonicalized once ever, not once per state that holds them.
+  // canonicalized once ever, not once per state that holds them. The
+  // bucket order decides which fusion AVF applies first.
   std::unordered_map<std::string, std::vector<uint32_t>> by_body;
   for (uint32_t vi = 0; vi < state.views().size(); ++vi) {
     by_body[state.views()[vi].BodyKey()].push_back(vi);
@@ -581,37 +622,76 @@ size_t EnumerateTransitionsBatch(const State& state, TransitionKind from_kind,
   return n;
 }
 
-State ApplyTransition(const State& state, const Transition& t, Arena* arena) {
-  auto apply = [&]() -> State {
-    switch (t.kind) {
-      case TransitionKind::kSC: return ApplySc(state, t, arena);
-      case TransitionKind::kJC: return ApplyJc(state, t, arena);
-      case TransitionKind::kVB: return ApplyVb(state, t, arena);
-      case TransitionKind::kVF: return ApplyVf(state, t, arena);
-    }
-    RDFVIEWS_CHECK_MSG(false, "unreachable");
-    return state;
-  };
-  State out = apply();
-  // Debug cross-check: the incrementally maintained fingerprint must equal
-  // a from-scratch recomputation over the successor's views.
+void PrepareTransition(const State& parent, const Transition& t,
+                       PreparedTransition* out) {
+  out->t = t;
+  out->first = nullptr;
+  out->second = nullptr;
+  out->next_var = parent.next_var();
+  out->next_view_id = parent.next_view_id();
+  switch (t.kind) {
+    case TransitionKind::kSC: PrepareSc(parent, t, out); break;
+    case TransitionKind::kJC: PrepareJc(parent, t, out); break;
+    case TransitionKind::kVB: PrepareVb(parent, t, out); break;
+    case TransitionKind::kVF: PrepareVf(parent, t, out); break;
+  }
+  RDFVIEWS_CHECK_MSG(out->first != nullptr, "malformed transition");
+  StateFingerprint fp = parent.fingerprint();
+  fp -= parent.views()[t.view_idx].StructuralHash();
+  if (t.kind == TransitionKind::kVF) {
+    fp -= parent.views()[t.view_idx2].StructuralHash();
+  }
+  fp += out->first->StructuralHash();
+  if (out->second != nullptr) fp += out->second->StructuralHash();
+  out->fingerprint = fp;
+}
+
+State BuildTransition(const State& parent, const PreparedTransition& prepared,
+                      Arena* arena) {
+  State out = parent.CloneForTransition(arena);
+  out.set_next_var(prepared.next_var);
+  out.set_next_view_id(prepared.next_view_id);
+  switch (prepared.t.kind) {
+    case TransitionKind::kSC: BuildSc(parent, prepared, &out); break;
+    case TransitionKind::kJC: BuildJc(parent, prepared, &out); break;
+    case TransitionKind::kVB: BuildVb(parent, prepared, &out); break;
+    case TransitionKind::kVF: BuildVf(parent, prepared, &out); break;
+  }
+  // Debug cross-checks: the incrementally maintained fingerprint must equal
+  // both the prediction Prepare made from the parent and a from-scratch
+  // recomputation over the successor's views.
+  RDFVIEWS_DCHECK(out.fingerprint() == prepared.fingerprint);
   RDFVIEWS_DCHECK(out.fingerprint() == out.RecomputeFingerprint());
   return out;
 }
 
-State AvfClosure(const State& state, const TransitionOptions& options,
-                 size_t* steps, Arena* arena) {
-  State current = state;
+State ApplyTransition(const State& state, const Transition& t, Arena* arena) {
+  PreparedTransition prepared;
+  PrepareTransition(state, t, &prepared);
+  return BuildTransition(state, prepared, arena);
+}
+
+size_t CloseUnderVf(State* state, const TransitionOptions& options,
+                    Arena* arena) {
+  size_t steps = 0;
   TransitionBuffer fusions;
   while (true) {
     fusions.Clear();
-    if (EnumerateTransitionsInto(current, TransitionKind::kVF, options,
+    if (EnumerateTransitionsInto(*state, TransitionKind::kVF, options,
                                  &fusions) == 0) {
-      return current;
+      return steps;
     }
-    current = ApplyTransition(current, fusions[0], arena);
-    if (steps != nullptr) ++*steps;
+    *state = ApplyTransition(*state, fusions[0], arena);
+    ++steps;
   }
+}
+
+State AvfClosure(const State& state, const TransitionOptions& options,
+                 size_t* steps, Arena* arena) {
+  State closed = state;
+  const size_t n = CloseUnderVf(&closed, options, arena);
+  if (steps != nullptr) *steps += n;
+  return closed;
 }
 
 }  // namespace rdfviews::vsel

@@ -14,6 +14,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "vsel/options.h"
@@ -140,15 +141,59 @@ class TransitionBufferPool {
   std::vector<std::unique_ptr<TransitionBuffer>> buffers_;
 };
 
-/// Applies a transition, producing the successor state. Fails only on
-/// malformed descriptors. The successor's flat storage is bump-allocated
-/// from `arena` when one is given (heap otherwise); see
+/// A successor that is prepared but not built: its new views and its
+/// fingerprint, computed from the parent alone. A search checks the
+/// fingerprint against the states it has seen and skips a known duplicate
+/// before paying for the copy of the parent, the rewriting substitution
+/// and the AVF closure.
+struct PreparedTransition {
+  Transition t;
+  /// Replaces the view at t.view_idx.
+  ViewPtr first;
+  /// JC that splits the view, and VB: the second new view, appended.
+  ViewPtr second;
+  /// The successor's fingerprint: the parent's, minus the StructuralHash
+  /// of each replaced or removed view, plus that of each new view.
+  StateFingerprint fingerprint;
+  /// The parent's variable and view-id counters after the transition.
+  cq::VarId next_var = 0;
+  uint32_t next_view_id = 0;
+  /// SC: the variable that replaces the constant.
+  cq::VarId sc_var = 0;
+  /// JC: (x, x'), the cut variable and its fresh copy; when the view
+  /// splits, ordered so the first lies in `first`.
+  std::pair<cq::VarId, cq::VarId> jc_pair;
+  /// VF: v2's head variables mapped onto v1's, in v2's head order.
+  std::vector<cq::VarId> vf_head;
+};
+
+/// Prepares the successor of `parent` under `t`: builds the new views and
+/// the successor's fingerprint without copying the parent. Fails only on
+/// malformed descriptors.
+void PrepareTransition(const State& parent, const Transition& t,
+                       PreparedTransition* out);
+
+/// Builds a prepared successor: copies `parent`, installs the prepared
+/// views and rewrites the rewritings. `parent` must be the state the
+/// transition was prepared from. The successor's flat storage is
+/// bump-allocated from `arena` when one is given (heap otherwise); see
 /// State::CloneForTransition for the lifetime rules.
+State BuildTransition(const State& parent, const PreparedTransition& prepared,
+                      Arena* arena = nullptr);
+
+/// Applies a transition, producing the successor state: PrepareTransition
+/// then BuildTransition.
 State ApplyTransition(const State& state, const Transition& t,
                       Arena* arena = nullptr);
 
-/// Applies VF to fixpoint (the AVF optimization, Sec. 5.2): returns the
-/// fully-fused state and counts the intermediate states in `steps`.
+/// Applies VF to `*state` in place until no two views fuse (the AVF
+/// optimization, Sec. 5.2); returns the number of fusions applied. A state
+/// that fuses nothing is left untouched, not copied.
+size_t CloseUnderVf(State* state, const TransitionOptions& options,
+                    Arena* arena = nullptr);
+
+/// The AVF closure of a copy of `state`: returns the fully-fused state and
+/// adds the number of intermediate states to `*steps`.
 State AvfClosure(const State& state, const TransitionOptions& options,
                  size_t* steps, Arena* arena = nullptr);
 

@@ -11,10 +11,12 @@
 // exact, never approximate.
 #include "vsel/view.h"
 
+#include <algorithm>
 #include <array>
 #include <mutex>
 #include <unordered_map>
 #include <utility>
+#include <vector>
 
 #include "common/logging.h"
 #include "common/telemetry/metrics.h"
@@ -59,12 +61,40 @@ telemetry::Counter* MissCounter() {
   return c;
 }
 
+/// Numbers variables by first occurrence: a linear scan of an inline array
+/// (a view has a few dozen variables at most), spilling to the heap only
+/// past it.
+class FirstOccurrenceIndex {
+ public:
+  uint32_t Of(cq::VarId v) {
+    const size_t in_line = std::min(count_, kInline);
+    for (size_t i = 0; i < in_line; ++i) {
+      if (inline_[i] == v) return static_cast<uint32_t>(i);
+    }
+    for (size_t i = 0; i < spill_.size(); ++i) {
+      if (spill_[i] == v) return static_cast<uint32_t>(kInline + i);
+    }
+    if (count_ < kInline) {
+      inline_[count_] = v;
+    } else {
+      spill_.push_back(v);
+    }
+    return static_cast<uint32_t>(count_++);
+  }
+
+ private:
+  static constexpr size_t kInline = 32;
+  std::array<cq::VarId, kInline> inline_;
+  std::vector<cq::VarId> spill_;
+  size_t count_ = 0;
+};
+
 }  // namespace
 
 std::string View::StructuralKey(size_t* body_len) const {
   std::string key;
   key.reserve(def.atoms().size() * 15 + def.head().size() * 5 + 1);
-  std::unordered_map<cq::VarId, uint32_t> index;
+  FirstOccurrenceIndex index;
   auto append_term = [&key, &index](const cq::Term& t) {
     if (t.is_const()) {
       key.push_back('c');
@@ -72,8 +102,7 @@ std::string View::StructuralKey(size_t* body_len) const {
       key.append(reinterpret_cast<const char*>(&c), sizeof(c));
     } else {
       key.push_back('v');
-      uint32_t idx = static_cast<uint32_t>(
-          index.try_emplace(t.var(), index.size()).first->second);
+      uint32_t idx = index.Of(t.var());
       key.append(reinterpret_cast<const char*>(&idx), sizeof(idx));
     }
   };

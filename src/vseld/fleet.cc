@@ -364,6 +364,45 @@ void WorkerPool::Shutdown() {
 
 // ---- FleetExecutor ---------------------------------------------------------
 
+rdf::StatisticsSnapshot UnitPatternCounts(const vsel::State& initial,
+                                          const rdf::Statistics& stats) {
+  // The cache fills lazily, so at dispatch time it holds whatever earlier
+  // partitions happened to count, and not necessarily this unit's
+  // patterns. Search transitions only *relax* workload atoms (SC drops
+  // constants; VB/VF/JC reshuffle whole atoms), so the closure is each
+  // initial atom with every subset of its constants wildcarded — at most 8
+  // patterns per atom, counted once on the coordinator's real store.
+  // Without them the worker's zero-fallback would skew costs and break
+  // recommendation parity.
+  std::vector<rdf::Pattern> closure;
+  for (const vsel::View& view : initial.views()) {
+    for (const cq::Atom& atom : view.def.atoms()) {
+      const rdf::Pattern base = atom.ToPattern();
+      const rdf::TermId terms[3] = {base.s, base.p, base.o};
+      int bound[3], nbound = 0;
+      for (int c = 0; c < 3; ++c) {
+        if (terms[c] != rdf::kAnyTerm) bound[nbound++] = c;
+      }
+      for (int mask = 0; mask < (1 << nbound); ++mask) {
+        rdf::TermId relaxed[3] = {terms[0], terms[1], terms[2]};
+        for (int b = 0; b < nbound; ++b) {
+          if (mask & (1 << b)) relaxed[bound[b]] = rdf::kAnyTerm;
+        }
+        closure.push_back(rdf::Pattern{relaxed[0], relaxed[1], relaxed[2]});
+      }
+    }
+  }
+  // CountPattern counts each pattern once and keeps it in the
+  // coordinator's cache for later units and the rehydration re-cost.
+  rdf::StatisticsSnapshot snapshot;
+  for (const rdf::Pattern& p : closure) {
+    if (!snapshot.counts.contains(p)) {
+      snapshot.counts.emplace(p, stats.CountPattern(p));
+    }
+  }
+  return snapshot;
+}
+
 FleetExecutor::FleetExecutor(WorkerPool* pool,
                              vsel::serialize::CacheIdentity identity)
     : pool_(pool), identity_(identity) {
@@ -408,34 +447,7 @@ Result<vsel::SearchResult> FleetExecutor::ExecuteAttempt(
     work.distinct[c] = stats.DistinctValues(col);
     work.avg_width[c] = stats.AvgWidth(col);
   }
-  // The shipped snapshot must cover every pattern the remote search can
-  // cost: the cache fills lazily here, so at dispatch time it only holds
-  // whatever earlier partitions happened to count. Search transitions only
-  // *relax* workload atoms (SC drops constants; VB/VF/JC reshuffle whole
-  // atoms), so the closure is each initial atom with every subset of its
-  // constants wildcarded — at most 8 patterns per atom, counted once on
-  // the coordinator's real store. Without this the worker's zero-fallback
-  // would skew costs and break recommendation parity.
-  std::vector<rdf::Pattern> closure;
-  for (const vsel::View& view : unit.initial_state->views()) {
-    for (const cq::Atom& atom : view.def.atoms()) {
-      const rdf::Pattern base = atom.ToPattern();
-      const rdf::TermId terms[3] = {base.s, base.p, base.o};
-      int bound[3], nbound = 0;
-      for (int c = 0; c < 3; ++c) {
-        if (terms[c] != rdf::kAnyTerm) bound[nbound++] = c;
-      }
-      for (int mask = 0; mask < (1 << nbound); ++mask) {
-        rdf::TermId relaxed[3] = {terms[0], terms[1], terms[2]};
-        for (int b = 0; b < nbound; ++b) {
-          if (mask & (1 << b)) relaxed[bound[b]] = rdf::kAnyTerm;
-        }
-        closure.push_back(rdf::Pattern{relaxed[0], relaxed[1], relaxed[2]});
-      }
-    }
-  }
-  stats.Precompute(closure);
-  work.snapshot = stats.Snapshot();
+  work.snapshot = UnitPatternCounts(*unit.initial_state, stats);
 
   auto blob = pool_->Execute(EncodeFleetWorkUnit(work), limits.stop);
   if (!blob.ok()) return blob.status();

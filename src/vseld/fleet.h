@@ -25,10 +25,10 @@
 // recommendation byte-identical to an in-process one. That holds because
 // the work unit ships everything a worker's search reads: the calibrated
 // cost weights (auto-calibration happens on the coordinator *before* any
-// attempt), the statistics scalars, and the coordinator's warm
-// pattern-count snapshot — complete for every view the search can create,
-// since views only relax workload atoms and the coordinator precomputed
-// exactly those relaxations. The coordinator-side re-cost on rehydration
+// attempt), the statistics scalars, and the coordinator's counts of the
+// unit's pattern closure — complete for every view the search can create,
+// since views only relax workload atoms and the closure holds exactly
+// those relaxations. The coordinator-side re-cost on rehydration
 // backstops any drift.
 #ifndef RDFVIEWS_VSELD_FLEET_H_
 #define RDFVIEWS_VSELD_FLEET_H_
@@ -74,9 +74,17 @@ struct FleetWorkUnit {
   uint64_t total_triples = 0;
   uint64_t distinct[3] = {0, 0, 0};
   double avg_width[3] = {0, 0, 0};
-  /// Warm pattern-count cache (complete for the partition's search space).
+  /// Counts of every pattern the partition's search can cost
+  /// (UnitPatternCounts).
   rdf::StatisticsSnapshot snapshot;
 };
+
+/// The pattern counts a work unit ships: every atom of `initial` with
+/// every subset of its constants wildcarded — all the patterns the unit's
+/// search can cost — de-duplicated, counted through `stats`, which caches
+/// them. Counts that other partitions put in that cache are not shipped.
+rdf::StatisticsSnapshot UnitPatternCounts(const vsel::State& initial,
+                                          const rdf::Statistics& stats);
 
 /// Encodes / decodes the kDispatchPartition blob. The frame layer already
 /// checksums the bytes; the codec adds a version header and relies on

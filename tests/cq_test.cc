@@ -272,6 +272,71 @@ TEST(CanonicalTest, VarMapRealizesIsomorphism) {
   EXPECT_EQ(inv.at(fb.var_map.at(b_head)), a.head()[0].var());
 }
 
+/// Canonical forms pinned to committed strings: the repr and the variable
+/// map (sorted "var:index" pairs) of each query, with and without the head.
+/// Covers constants, a variable repeated inside one atom, head and non-head
+/// variables, symmetric atoms that need backtracking, and the empty body.
+struct PinnedCanonicalForm {
+  const char* query;  // datalog; empty = the empty body
+  bool include_head;
+  const char* repr;
+  const char* var_map;
+};
+
+// clang-format off
+constexpr PinnedCanonicalForm kPinnedCanonicalForms[] = {
+    {"q(X) :- t(X, p, Y)", true, "t(H0,#8,V1);|head:H0,", "0:0,1:1"},
+    {"q(X) :- t(X, p, Y)", false, "t(V0,#8,V1);", "0:0,1:1"},
+    {"q(X) :- t(X, p, c)", true, "t(H0,#8,#9);|head:H0,", "0:0"},
+    {"q(X) :- t(X, p, c)", false, "t(V0,#8,#9);", "0:0"},
+    {"q(X) :- t(X, p, X)", true, "t(H0,#8,H0);|head:H0,", "0:0"},
+    {"q(X) :- t(X, p, X)", false, "t(V0,#8,V0);", "0:0"},
+    {"q(X, Y) :- t(X, X, Y), t(Y, p, Y)", true, "t(H0,H0,H1);t(H1,#8,H1);|head:H0,H1,", "0:0,1:1"},
+    {"q(X, Y) :- t(X, X, Y), t(Y, p, Y)", false, "t(V0,V0,V1);t(V1,#8,V1);", "0:0,1:1"},
+    {"q(X) :- t(X, p1, Y), t(Y, p2, Z), t(X, p3, Z)", true, "t(V0,#11,V1);t(H2,#10,V0);t(H2,#12,V1);|head:H2,", "0:2,1:0,2:1"},
+    {"q(X) :- t(X, p1, Y), t(Y, p2, Z), t(X, p3, Z)", false, "t(V0,#10,V1);t(V0,#12,V2);t(V1,#11,V2);", "0:0,1:1,2:2"},
+    {"q(X) :- t(X, p, Y), t(Y, p, Z), t(Z, p, X)", true, "t(V0,#8,V1);t(V1,#8,H2);t(H2,#8,V0);|head:H2,", "0:2,1:0,2:1"},
+    {"q(X) :- t(X, p, Y), t(Y, p, Z), t(Z, p, X)", false, "t(V0,#8,V1);t(V1,#8,V2);t(V2,#8,V0);", "0:0,1:1,2:2"},
+    {"q(X, Y) :- t(X, p, Y), t(Y, p, X)", true, "t(H0,#8,H1);t(H1,#8,H0);|head:H0,H1,", "0:0,1:1"},
+    {"q(X, Y) :- t(X, p, Y), t(Y, p, X)", false, "t(V0,#8,V1);t(V1,#8,V0);", "0:0,1:1"},
+    {"q(X) :- t(X, p, Y), t(X, p, Z)", true, "t(H0,#8,V1);t(H0,#8,V2);|head:H0,", "0:0,1:1,2:2"},
+    {"q(X) :- t(X, p, Y), t(X, p, Z)", false, "t(V0,#8,V1);t(V0,#8,V2);", "0:0,1:1,2:2"},
+    {"q(A, B) :- t(A, p, B), t(C, p, B), t(C, q, d)", true, "t(V0,#13,#14);t(V0,#8,H1);t(H2,#8,H1);|head:H1,H2,", "0:2,1:1,2:0"},
+    {"q(A, B) :- t(A, p, B), t(C, p, B), t(C, q, d)", false, "t(V0,#8,V1);t(V2,#13,#14);t(V2,#8,V1);", "0:0,1:1,2:2"},
+    {"q(X) :- t(X, p, Y), t(Y, q, c), t(Z, p, Y), t(Z, q, c)", true, "t(V0,#13,#9);t(V0,#8,V1);t(V1,#13,#9);t(H2,#8,V1);|head:H2,", "0:2,1:1,2:0"},
+    {"q(X) :- t(X, p, Y), t(Y, q, c), t(Z, p, Y), t(Z, q, c)", false, "t(V0,#8,V1);t(V2,#13,#9);t(V2,#8,V1);t(V1,#13,#9);", "0:0,1:1,2:2"},
+    {"", true, "|head:", ""},
+    {"", false, "", ""},
+};
+// clang-format on
+
+std::string RenderVarMap(const CanonicalForm& form) {
+  std::vector<std::pair<VarId, uint32_t>> entries(form.var_map.begin(),
+                                                  form.var_map.end());
+  std::sort(entries.begin(), entries.end());
+  std::string out;
+  for (const auto& [var, idx] : entries) {
+    if (!out.empty()) out += ",";
+    out += std::to_string(var) + ":" + std::to_string(idx);
+  }
+  return out;
+}
+
+TEST(CanonicalTest, FormsMatchCommittedStrings) {
+  rdf::Dictionary dict;
+  for (const PinnedCanonicalForm& pin : kPinnedCanonicalForms) {
+    const std::string text = pin.query;
+    ConjunctiveQuery q =
+        text.empty() ? ConjunctiveQuery() : MustParse(text, &dict);
+    CanonicalForm form = Canonicalize(q, pin.include_head);
+    SCOPED_TRACE("{\"" + text + "\", " +
+                 (pin.include_head ? "true" : "false") + ", \"" + form.repr +
+                 "\", \"" + RenderVarMap(form) + "\"},");
+    EXPECT_EQ(form.repr, pin.repr);
+    EXPECT_EQ(RenderVarMap(form), pin.var_map);
+  }
+}
+
 class CanonicalPropertyTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(CanonicalPropertyTest, RandomRenamedPermutedQueriesAgree) {

@@ -187,6 +187,43 @@ TEST(FleetCodecTest, RejectsUnknownVersion) {
   EXPECT_FALSE(DecodeFleetWorkUnit(bytes).ok());
 }
 
+TEST(FleetSnapshotTest, UnitShipsItsDeduplicatedClosureWithCoordinatorCounts) {
+  rdf::Dictionary dict;
+  rdf::TripleStore store = rdfviews::testing::RandomStore(&dict, 200, 6, 3, 7);
+  // Two initial views share the atom t(_, p0, r1).
+  std::vector<cq::ConjunctiveQuery> workload = {
+      MustParse("q0(X) :- t(X, p0, r1)", &dict),
+      MustParse("q1(Y, Z) :- t(Y, p0, r1), t(Y, p1, Z)", &dict),
+  };
+  Result<vsel::State> s0 = vsel::MakeInitialState(workload);
+  ASSERT_TRUE(s0.ok()) << s0.status().ToString();
+  rdf::Statistics stats(&store);
+  // Counted for some other partition: the coordinator's cache holds it,
+  // but this unit's search never costs it.
+  const rdf::TermId p0 = dict.Intern("p0");
+  const rdf::TermId p1 = dict.Intern("p1");
+  const rdf::TermId p2 = dict.Intern("p2");
+  const rdf::TermId r1 = dict.Intern("r1");
+  const rdf::TermId any = rdf::kAnyTerm;
+  stats.CountPattern(rdf::Pattern{any, p2, any});
+
+  rdf::StatisticsSnapshot snapshot = UnitPatternCounts(*s0, stats);
+
+  const rdf::Pattern closure[] = {
+      {any, p0, r1}, {any, any, r1}, {any, p0, any},
+      {any, p1, any}, {any, any, any},
+  };
+  EXPECT_EQ(snapshot.size(), std::size(closure));
+  for (const rdf::Pattern& p : closure) {
+    auto it = snapshot.counts.find(p);
+    ASSERT_NE(it, snapshot.counts.end());
+    EXPECT_EQ(it->second, stats.CountPattern(p));
+    EXPECT_EQ(it->second, store.Count(p));
+  }
+  // Every shipped count is now also in the coordinator's cache.
+  EXPECT_EQ(stats.cache_size(), std::size(closure) + 1);
+}
+
 // ---- Protocol version negotiation ------------------------------------------
 
 /// A minimal one-shot daemon impostor: accepts one connection, answers the

@@ -1,0 +1,264 @@
+// Pins the search's accounting to committed values. For EXNAIVE, EXSTR,
+// DFS and GSTR, with AVF off and on, over three seeded random workloads and
+// one whose initial state AVF fuses in Init (two queries with isomorphic
+// bodies and different heads), every SearchStats counter and the best
+// state's (cost bits, fingerprint) must equal the values recorded below.
+// Work that only makes a search step cheaper leaves all of them untouched.
+// The Parallel suite checks that the parallel engine at 2 and 4 threads
+// returns the same best as the serial one, and SuccessorSkipTest that GSTR
+// reports the duplicates it skipped without building them.
+//
+// On a mismatch the failure message prints the row the run produced, in
+// the table's own syntax.
+#include <cinttypes>
+#include <cstdio>
+#include <cstring>
+#include <string>
+#include <vector>
+
+#include <gtest/gtest.h>
+
+#include "common/telemetry/metrics.h"
+#include "rdf/statistics.h"
+#include "rdfviews.h"
+#include "test_util.h"
+
+namespace rdfviews::vsel {
+namespace {
+
+using rdfviews::testing::MustParse;
+using rdfviews::testing::RandomQuery;
+using rdfviews::testing::RandomStore;
+
+struct Expected {
+  const char* workload;
+  StrategyKind strategy;
+  bool avf;
+  uint64_t created;
+  uint64_t duplicates;
+  uint64_t discarded;
+  uint64_t explored;
+  uint64_t transitions_applied;
+  bool completed;
+  uint64_t cost_bits;
+  uint64_t fp_hi;
+  uint64_t fp_lo;
+};
+
+constexpr StrategyKind kExNaive = StrategyKind::kExNaive;
+constexpr StrategyKind kExStr = StrategyKind::kExStr;
+constexpr StrategyKind kDfs = StrategyKind::kDfs;
+constexpr StrategyKind kGstr = StrategyKind::kGstr;
+
+// clang-format off
+constexpr Expected kExpected[] = {
+    {"seed501", kExNaive, false, 3100, 2522, 0, 579, 3100, true, 0x403b000000000000, 0xcb1771208075ec0b, 0x3ff40a91932943dc},
+    {"seed501", kExNaive, true, 3257, 2263, 501, 494, 2756, true, 0x403b000000000000, 0xcb1771208075ec0b, 0x3ff40a91932943dc},
+    {"seed501", kExStr, false, 1570, 992, 0, 579, 1570, true, 0x403b000000000000, 0xcb1771208075ec0b, 0x3ff40a91932943dc},
+    {"seed501", kExStr, true, 1703, 959, 253, 492, 1450, true, 0x403b000000000000, 0xcb1771208075ec0b, 0x3ff40a91932943dc},
+    {"seed501", kDfs, false, 1570, 992, 0, 579, 1570, true, 0x403b000000000000, 0xcb1771208075ec0b, 0x3ff40a91932943dc},
+    {"seed501", kDfs, true, 1703, 959, 253, 492, 1450, true, 0x403b000000000000, 0xcb1771208075ec0b, 0x3ff40a91932943dc},
+    {"seed501", kGstr, false, 455, 326, 0, 133, 455, true, 0x403b000000000000, 0xcb1771208075ec0b, 0x3ff40a91932943dc},
+    {"seed501", kGstr, true, 465, 325, 11, 133, 454, true, 0x403b000000000000, 0xcb1771208075ec0b, 0x3ff40a91932943dc},
+    {"seed502", kExNaive, false, 706, 549, 0, 158, 706, true, 0x406c2f5c28f5c290, 0xfece63b2e45a6dda, 0x5abd48afb68a3852},
+    {"seed502", kExNaive, true, 719, 406, 204, 110, 515, true, 0x406c2f5c28f5c290, 0xfece63b2e45a6dda, 0x5abd48afb68a3852},
+    {"seed502", kExStr, false, 398, 241, 0, 158, 398, true, 0x406c2f5c28f5c290, 0xfece63b2e45a6dda, 0x5abd48afb68a3852},
+    {"seed502", kExStr, true, 480, 219, 152, 110, 328, true, 0x406c2f5c28f5c290, 0xfece63b2e45a6dda, 0x5abd48afb68a3852},
+    {"seed502", kDfs, false, 398, 241, 0, 158, 398, true, 0x406c2f5c28f5c290, 0xfece63b2e45a6dda, 0x5abd48afb68a3852},
+    {"seed502", kDfs, true, 480, 219, 152, 110, 328, true, 0x406c2f5c28f5c290, 0xfece63b2e45a6dda, 0x5abd48afb68a3852},
+    {"seed502", kGstr, false, 88, 54, 0, 38, 88, true, 0x406c78a3d70a3d71, 0x51163dcb49bda2c4, 0xfaa0521644b37d7a},
+    {"seed502", kGstr, true, 92, 54, 4, 38, 88, true, 0x406c2f5c28f5c290, 0xfece63b2e45a6dda, 0x5abd48afb68a3852},
+    {"seed503", kExNaive, false, 319, 238, 0, 82, 319, true, 0x407147851eb851ec, 0xa26cd75e2b685fc5, 0xa3879809c47e2fcf},
+    {"seed503", kExNaive, true, 277, 127, 107, 44, 170, true, 0x407147851eb851ec, 0xa26cd75e2b685fc5, 0xa3879809c47e2fcf},
+    {"seed503", kExStr, false, 179, 98, 0, 82, 179, true, 0x407147851eb851ec, 0xa26cd75e2b685fc5, 0xa3879809c47e2fcf},
+    {"seed503", kExStr, true, 179, 68, 72, 40, 107, true, 0x407147851eb851ec, 0xa26cd75e2b685fc5, 0xa3879809c47e2fcf},
+    {"seed503", kDfs, false, 179, 98, 0, 82, 179, true, 0x407147851eb851ec, 0xa26cd75e2b685fc5, 0xa3879809c47e2fcf},
+    {"seed503", kDfs, true, 179, 68, 72, 40, 107, true, 0x407147851eb851ec, 0xa26cd75e2b685fc5, 0xa3879809c47e2fcf},
+    {"seed503", kGstr, false, 37, 20, 0, 21, 37, true, 0x407147851eb851ec, 0xa26cd75e2b685fc5, 0xa3879809c47e2fcf},
+    {"seed503", kGstr, true, 45, 17, 14, 18, 31, true, 0x407147851eb851ec, 0xa26cd75e2b685fc5, 0xa3879809c47e2fcf},
+    {"fused_s0", kExNaive, false, 403, 295, 0, 109, 403, true, 0x406a88f5c28f5c29, 0xa26cd75e2b685fc5, 0xa3879809c47e2fcf},
+    {"fused_s0", kExNaive, true, 21, 9, 4, 8, 16, true, 0x406a88f5c28f5c29, 0xa26cd75e2b685fc5, 0xa3879809c47e2fcf},
+    {"fused_s0", kExStr, false, 233, 125, 0, 109, 233, true, 0x406a88f5c28f5c29, 0xa26cd75e2b685fc5, 0xa3879809c47e2fcf},
+    {"fused_s0", kExStr, true, 15, 5, 2, 8, 12, true, 0x406a88f5c28f5c29, 0xa26cd75e2b685fc5, 0xa3879809c47e2fcf},
+    {"fused_s0", kDfs, false, 233, 125, 0, 109, 233, true, 0x406a88f5c28f5c29, 0xa26cd75e2b685fc5, 0xa3879809c47e2fcf},
+    {"fused_s0", kDfs, true, 15, 5, 2, 8, 12, true, 0x406a88f5c28f5c29, 0xa26cd75e2b685fc5, 0xa3879809c47e2fcf},
+    {"fused_s0", kGstr, false, 40, 22, 0, 22, 40, true, 0x406cf147ae147ae1, 0xa6535576905c366f, 0xc3d403da720324a1},
+    {"fused_s0", kGstr, true, 7, 2, 0, 8, 6, true, 0x406a88f5c28f5c29, 0xa26cd75e2b685fc5, 0xa3879809c47e2fcf},
+};
+// clang-format on
+
+uint64_t CostBits(double cost) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &cost, sizeof(bits));
+  return bits;
+}
+
+const char* StrategyConstant(StrategyKind kind) {
+  switch (kind) {
+    case StrategyKind::kExNaive: return "kExNaive";
+    case StrategyKind::kExStr: return "kExStr";
+    case StrategyKind::kDfs: return "kDfs";
+    case StrategyKind::kGstr: return "kGstr";
+    default: return "?";
+  }
+}
+
+/// The table row a run produced, as it would be written in kExpected.
+std::string Row(const std::string& workload, StrategyKind kind, bool avf,
+                const SearchResult& r) {
+  const SearchStats& s = r.stats;
+  char buf[400];
+  std::snprintf(
+      buf, sizeof(buf),
+      "{\"%s\", %s, %s, %" PRIu64 ", %" PRIu64 ", %" PRIu64 ", %" PRIu64
+      ", %" PRIu64 ", %s, 0x%016" PRIx64 ", 0x%016" PRIx64 ", 0x%016" PRIx64
+      "},",
+      workload.c_str(), StrategyConstant(kind), avf ? "true" : "false",
+      s.created, s.duplicates, s.discarded, s.explored,
+      s.transitions_applied, s.completed ? "true" : "false",
+      CostBits(s.best_cost), r.best.fingerprint().hi,
+      r.best.fingerprint().lo);
+  return buf;
+}
+
+const Expected* Find(const std::string& workload, StrategyKind kind,
+                     bool avf) {
+  for (const Expected& e : kExpected) {
+    if (workload == e.workload && e.strategy == kind && e.avf == avf) {
+      return &e;
+    }
+  }
+  return nullptr;
+}
+
+constexpr StrategyKind kStrategies[] = {kExNaive, kExStr, kDfs, kGstr};
+
+class AccountingFixture : public ::testing::Test {
+ protected:
+  /// "seed<N>": two random 2-atom queries over a seeded random store.
+  /// "fused_s0": two queries with isomorphic bodies and different heads,
+  /// so AVF fuses the initial state in Init.
+  void SetUpWorkload(const std::string& name) {
+    workload_.clear();
+    if (name == "fused_s0") {
+      store_ = RandomStore(&dict_, 80, 10, 4, /*seed=*/601);
+      workload_.push_back(MustParse(
+          "q0(X, Y) :- t(X, p0, Y), t(Y, p1, Z)", &dict_));
+      workload_.push_back(MustParse(
+          "q1(Z) :- t(X, p0, Y), t(Y, p1, Z)", &dict_));
+    } else {
+      const uint64_t seed = std::stoull(name.substr(4));
+      store_ = RandomStore(&dict_, 80, 10, 4, seed);
+      Rng rng(seed * 17 + 7);
+      for (int i = 0; i < 2; ++i) {
+        workload_.push_back(RandomQuery(store_, 2, 2, rng.raw()));
+        workload_.back().set_name("q" + std::to_string(i));
+      }
+    }
+    stats_ = std::make_unique<rdf::Statistics>(&store_);
+  }
+
+  SearchResult Run(StrategyKind kind, bool avf, size_t num_threads) {
+    // A fresh model per run: no interner contents carry over.
+    CostModel model(stats_.get(), CostWeights{});
+    State s0 = *MakeInitialState(workload_);
+    HeuristicOptions heur;
+    heur.avf = avf;
+    SearchLimits limits;
+    limits.time_budget_sec = 0;  // no deadline: every run exhausts its space
+    limits.num_threads = num_threads;
+    auto r = RunSearch(kind, s0, model, heur, limits);
+    if (!r.ok()) {
+      ADD_FAILURE() << StrategyName(kind) << ": " << r.status().ToString();
+      return SearchResult{};
+    }
+    return *r;
+  }
+
+  rdf::Dictionary dict_;
+  rdf::TripleStore store_;
+  std::vector<cq::ConjunctiveQuery> workload_;
+  std::unique_ptr<rdf::Statistics> stats_;
+};
+
+class SearchAccountingTest
+    : public AccountingFixture,
+      public ::testing::WithParamInterface<const char*> {};
+
+TEST_P(SearchAccountingTest, CountersAndBestMatchCommittedValues) {
+  const std::string workload = GetParam();
+  SetUpWorkload(workload);
+  for (StrategyKind kind : kStrategies) {
+    for (bool avf : {false, true}) {
+      SearchResult r = Run(kind, avf, 1);
+      const std::string row = Row(workload, kind, avf, r);
+      const Expected* e = Find(workload, kind, avf);
+      ASSERT_NE(e, nullptr) << "no committed row; this run: " << row;
+      SCOPED_TRACE(row);
+      EXPECT_EQ(r.stats.created, e->created);
+      EXPECT_EQ(r.stats.duplicates, e->duplicates);
+      EXPECT_EQ(r.stats.discarded, e->discarded);
+      EXPECT_EQ(r.stats.explored, e->explored);
+      EXPECT_EQ(r.stats.transitions_applied, e->transitions_applied);
+      EXPECT_EQ(r.stats.completed, e->completed);
+      EXPECT_EQ(CostBits(r.stats.best_cost), e->cost_bits);
+      EXPECT_EQ(r.best.fingerprint().hi, e->fp_hi);
+      EXPECT_EQ(r.best.fingerprint().lo, e->fp_lo);
+    }
+  }
+}
+
+class ParallelSearchAccountingTest
+    : public AccountingFixture,
+      public ::testing::WithParamInterface<const char*> {};
+
+TEST_P(ParallelSearchAccountingTest, BestMatchesSerialAtTwoAndFourThreads) {
+  const std::string workload = GetParam();
+  SetUpWorkload(workload);
+  for (StrategyKind kind : kStrategies) {
+    for (bool avf : {false, true}) {
+      const Expected* e = Find(workload, kind, avf);
+      ASSERT_NE(e, nullptr);
+      for (size_t threads : {size_t{2}, size_t{4}}) {
+        SearchResult r = Run(kind, avf, threads);
+        SCOPED_TRACE(std::string(StrategyName(kind)) +
+                     (avf ? " avf" : "") + " threads=" +
+                     std::to_string(threads));
+        EXPECT_TRUE(r.stats.completed);
+        EXPECT_EQ(CostBits(r.stats.best_cost), e->cost_bits);
+        EXPECT_EQ(r.best.fingerprint().hi, e->fp_hi);
+        EXPECT_EQ(r.best.fingerprint().lo, e->fp_lo);
+      }
+    }
+  }
+}
+
+using SuccessorSkipTest = AccountingFixture;
+
+TEST_F(SuccessorSkipTest, GstrSkipsKnownDuplicatesBeforeBuildingThem) {
+  SetUpWorkload("seed501");
+  telemetry::Counter* skipped =
+      telemetry::MetricsRegistry::Default()->GetCounter(
+          "vsel_successors_skipped_total");
+  const uint64_t before = skipped->Value();
+  SearchResult r = Run(kGstr, /*avf=*/true, 1);
+  const uint64_t n = skipped->Value() - before;
+  EXPECT_GT(n, 0u);
+  EXPECT_LE(n, r.stats.duplicates);
+}
+
+std::string WorkloadName(const ::testing::TestParamInfo<const char*>& info) {
+  return info.param;
+}
+
+INSTANTIATE_TEST_SUITE_P(Workloads, SearchAccountingTest,
+                         ::testing::Values("seed501", "seed502", "seed503",
+                                           "fused_s0"),
+                         WorkloadName);
+INSTANTIATE_TEST_SUITE_P(Workloads, ParallelSearchAccountingTest,
+                         ::testing::Values("seed501", "seed502", "seed503",
+                                           "fused_s0"),
+                         WorkloadName);
+
+}  // namespace
+}  // namespace rdfviews::vsel
