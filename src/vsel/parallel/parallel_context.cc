@@ -118,7 +118,8 @@ std::optional<ParallelSearchContext::Admitted> ParallelSearchContext::Admit(
   ++stats->created;
   ++stats->transitions_applied;
   if (heur.avf) {
-    const size_t steps = CloseUnderVf(&s, topts, &local->arena);
+    const size_t steps =
+        CloseUnderVf(&s, topts, &local->arena, &local->outcomes);
     stats->created += steps;
     stats->discarded += steps;
   }
@@ -153,13 +154,14 @@ std::optional<ParallelSearchContext::Admitted> ParallelSearchContext::Admit(
 std::optional<ParallelSearchContext::Admitted>
 ParallelSearchContext::AdmitSuccessor(const State& parent, const Transition& t,
                                       int phase, WorkerLocal* local) {
-  PreparedTransition prepared;
-  PrepareTransition(parent, t, &prepared);
   // Exact for the reason the serial KnownDuplicate is; a stale "not seen"
   // answer only falls back to the full path.
-  const bool unclosed =
-      unclosed_s0_.has_value() && prepared.fingerprint == *unclosed_s0_;
-  if (!unclosed && seen.Rejects(prepared.fingerprint, phase)) {
+  auto rejects = [this, phase](const StateFingerprint& fp) {
+    const bool unclosed = unclosed_s0_.has_value() && fp == *unclosed_s0_;
+    return !unclosed && seen.Rejects(fp, phase);
+  };
+  PreparedTransition prepared;
+  if (!local->outcomes.Prepare(parent, t, rejects, &prepared)) {
     // What Admit adds for a duplicate.
     ++local->stats.created;
     ++local->stats.transitions_applied;
@@ -178,10 +180,12 @@ void ParallelSearchContext::MergeWorker(const WorkerLocal& local) {
   totals_.explored += local.stats.explored;
   totals_.transitions_applied += local.stats.transitions_applied;
   skipped_ += local.skipped;
+  outcome_hits_ += local.outcomes.hits();
+  outcome_misses_ += local.outcomes.misses();
 }
 
 SearchResult ParallelSearchContext::Finish(bool completed) {
-  internal::SkippedSuccessorsCounter()->Add(skipped_);
+  internal::AddStepCounters(skipped_, outcome_hits_, outcome_misses_);
   SearchStats stats = totals_;
   stats.time_exhausted = time_exhausted_.load(std::memory_order_relaxed);
   stats.memory_exhausted = memory_exhausted_.load(std::memory_order_relaxed);

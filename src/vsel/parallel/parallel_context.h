@@ -62,13 +62,17 @@ class BestTracker {
 };
 
 /// What one worker owns privately: its counters, merged into the run
-/// totals when it exits, and the arena backing the states it creates.
+/// totals when it exits, the arena backing the states it creates, and its
+/// transition-outcome table.
 struct WorkerLocal {
   SearchStats stats;
   /// Successors skipped as known duplicates (see AdmitSuccessor).
   uint64_t skipped = 0;
   /// Never shared across workers; its blocks outlive it via refcounts.
   Arena arena;
+  /// This worker's transition outcomes (AdmitSuccessor and Admit's AVF
+  /// closure prepare through it).
+  TransitionOutcomeTable outcomes;
 };
 
 /// Shared context of one parallel run. Construction + Init happen on the
@@ -105,9 +109,10 @@ class ParallelSearchContext {
   /// worker's `local`.
   std::optional<Admitted> Admit(State s, int phase, WorkerLocal* local);
 
-  /// The serial AdmitSuccessor: a successor whose fingerprint the seen-set
-  /// already rejects at `phase` is counted as a duplicate without being
-  /// built; every other successor is built and handed to Admit.
+  /// The serial AdmitSuccessor, prepared through the worker's outcome
+  /// table: a successor whose fingerprint the seen-set already rejects at
+  /// `phase` is counted as a duplicate without being built; every other
+  /// successor is built and handed to Admit.
   std::optional<Admitted> AdmitSuccessor(const State& parent,
                                          const Transition& t, int phase,
                                          WorkerLocal* local);
@@ -140,7 +145,10 @@ class ParallelSearchContext {
   std::atomic<bool> cancelled_{false};
   std::mutex stats_mu_;
   SearchStats totals_;  // Init traffic + merged worker counters
-  uint64_t skipped_ = 0;  // merged worker skip counts
+  // Merged worker skip counts and transition-outcome hits and misses.
+  uint64_t skipped_ = 0;
+  uint64_t outcome_hits_ = 0;
+  uint64_t outcome_misses_ = 0;
 };
 
 }  // namespace parallel

@@ -17,11 +17,18 @@ namespace internal {
 
 const int kNumPhases = 4;  // VB, SC, JC, VF
 
-telemetry::Counter* SkippedSuccessorsCounter() {
-  static telemetry::Counter* const c =
-      telemetry::MetricsRegistry::Default()->GetCounter(
-          "vsel_successors_skipped_total");
-  return c;
+void AddStepCounters(uint64_t skipped, uint64_t outcome_hits,
+                     uint64_t outcome_misses) {
+  telemetry::MetricsRegistry* registry = telemetry::MetricsRegistry::Default();
+  static telemetry::Counter* const skipped_total =
+      registry->GetCounter("vsel_successors_skipped_total");
+  static telemetry::Counter* const hits_total =
+      registry->GetCounter("vsel_transition_outcome_hits_total");
+  static telemetry::Counter* const misses_total =
+      registry->GetCounter("vsel_transition_outcome_misses_total");
+  skipped_total->Add(skipped);
+  hits_total->Add(outcome_hits);
+  misses_total->Add(outcome_misses);
 }
 
 SearchContext::SearchContext(const CostModel* cost_model,
@@ -105,7 +112,7 @@ std::optional<SearchContext::Admitted> SearchContext::Admit(State s,
   ++stats.created;
   ++stats.transitions_applied;
   if (heur.avf) {
-    const size_t steps = CloseUnderVf(&s, topts, &arena);
+    const size_t steps = CloseUnderVf(&s, topts, &arena, &outcomes);
     stats.created += steps;
     stats.discarded += steps;
   }
@@ -145,8 +152,12 @@ bool SearchContext::KnownDuplicate(const StateFingerprint& fp,
 std::optional<SearchContext::Admitted> SearchContext::AdmitSuccessor(
     const State& parent, const Transition& t, int phase) {
   PreparedTransition prepared;
-  PrepareTransition(parent, t, &prepared);
-  if (KnownDuplicate(prepared.fingerprint, phase)) {
+  if (!outcomes.Prepare(
+          parent, t,
+          [this, phase](const StateFingerprint& fp) {
+            return KnownDuplicate(fp, phase);
+          },
+          &prepared)) {
     // What Admit adds for a duplicate.
     ++stats.created;
     ++stats.transitions_applied;
@@ -158,7 +169,7 @@ std::optional<SearchContext::Admitted> SearchContext::AdmitSuccessor(
 }
 
 SearchResult SearchContext::Finish(bool completed) {
-  SkippedSuccessorsCounter()->Add(skipped);
+  AddStepCounters(skipped, outcomes.hits(), outcomes.misses());
   stats.completed = completed && !stats.time_exhausted &&
                     !stats.memory_exhausted && !stats.cancelled;
   stats.elapsed_sec = deadline.ElapsedSeconds();

@@ -23,10 +23,15 @@ namespace internal {
 
 extern const int kNumPhases;
 
-/// vsel_successors_skipped_total: successors recognized as known
-/// duplicates before they were built. Each search counts them locally and
-/// adds its total here once, when it finishes.
-telemetry::Counter* SkippedSuccessorsCounter();
+/// Adds one search's step counters to the registry. Each search counts
+/// them locally and adds its totals once, when it finishes:
+///   - vsel_successors_skipped_total: successors recognized as known
+///     duplicates before they were built;
+///   - vsel_transition_outcome_hits_total / _misses_total: preparations
+///     its transition-outcome tables answered from a recorded outcome, and
+///     those that ran PrepareTransition and recorded one.
+void AddStepCounters(uint64_t skipped, uint64_t outcome_hits,
+                     uint64_t outcome_misses);
 
 /// The deterministic better-than order on (cost, fingerprint) pairs used by
 /// every strategy (serial and parallel) to track the running best: lower
@@ -107,9 +112,10 @@ class SearchContext {
   /// `phase` is the stratum (transition kind) that produced the state.
   std::optional<Admitted> Admit(State s, int phase);
 
-  /// Processes the successor of `parent` under `t`. A known duplicate (see
-  /// KnownDuplicate) is counted exactly as Admit would count it but never
-  /// built; every other successor is built and handed to Admit.
+  /// Processes the successor of `parent` under `t`, prepared through
+  /// `outcomes`. A known duplicate (see KnownDuplicate) is counted exactly
+  /// as Admit would count it but never built; every other successor is
+  /// built and handed to Admit.
   std::optional<Admitted> AdmitSuccessor(const State& parent,
                                          const Transition& t, int phase);
 
@@ -140,6 +146,9 @@ class SearchContext {
   std::optional<StateFingerprint> unclosed_s0;
   /// Successors KnownDuplicate skipped; Finish reports them.
   uint64_t skipped = 0;
+  /// This search's transition outcomes (AdmitSuccessor and Admit's AVF
+  /// closure prepare through it); Finish reports its hits and misses.
+  TransitionOutcomeTable outcomes;
   State best;
   /// The state the strategies explore from: S0, or its AVF closure when
   /// aggressive view fusion is on (VF only ever improves the cost, so the

@@ -1,9 +1,10 @@
 #include "vsel/transitions.h"
 
 #include <algorithm>
+#include <iterator>
 #include <sstream>
+#include <tuple>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "common/logging.h"
 #include "common/telemetry/metrics.h"
@@ -25,17 +26,24 @@ constexpr size_t kOverlapCoverMaxAtoms = 14;
 using engine::Expr;
 using engine::ExprPtr;
 
-std::unordered_set<cq::VarId> VarsOfMask(const std::vector<cq::Atom>& atoms,
-                                         uint64_t mask) {
-  std::unordered_set<cq::VarId> vars;
+/// The variables of the atoms in `mask`, sorted by VarId.
+std::vector<cq::VarId> VarsOfMask(const std::vector<cq::Atom>& atoms,
+                                  uint64_t mask) {
+  std::vector<cq::VarId> vars;
   for (size_t i = 0; i < atoms.size(); ++i) {
     if (!(mask & (1ull << i))) continue;
     for (rdf::Column c : kColumns) {
       cq::Term t = atoms[i].at(c);
-      if (t.is_var()) vars.insert(t.var());
+      if (t.is_var()) vars.push_back(t.var());
     }
   }
+  std::sort(vars.begin(), vars.end());
+  vars.erase(std::unique(vars.begin(), vars.end()), vars.end());
   return vars;
+}
+
+bool Holds(const std::vector<cq::VarId>& sorted, cq::VarId v) {
+  return std::binary_search(sorted.begin(), sorted.end(), v);
 }
 
 bool MaskConnected(const std::vector<cq::Atom>& atoms, uint64_t mask) {
@@ -66,32 +74,104 @@ void AddHeadVar(cq::ConjunctiveQuery* def, cq::VarId v) {
   def->mutable_head()->push_back(cq::Term::Var(v));
 }
 
-/// Builds the sub-view over the atoms in `mask` (Def. 3.2): head = (head of
-/// v restricted to the sub-body) plus every variable shared with the other
-/// side. The result is minimized (views are minimal by Def. 2.1).
+/// The sub-view over the atoms in `mask` (Def. 3.2), before minimization:
+/// its head is v's head restricted to the sub-body, then every variable of
+/// `shared` (sorted by VarId) that the sub-body holds. Its body is the
+/// atoms in `kept`, a subset of `mask`: `mask` itself for a first
+/// derivation, the atoms cq::Minimize kept of it for a rebuild.
+cq::ConjunctiveQuery SubViewDef(const cq::ConjunctiveQuery& parent,
+                                uint64_t mask, uint64_t kept,
+                                const std::vector<cq::VarId>& shared) {
+  cq::ConjunctiveQuery def;
+  for (size_t i = 0; i < parent.atoms().size(); ++i) {
+    if (kept & (1ull << i)) def.mutable_atoms()->push_back(parent.atoms()[i]);
+  }
+  const std::vector<cq::VarId> vars = VarsOfMask(parent.atoms(), mask);
+  for (const cq::Term& t : parent.head()) {
+    if (t.is_var() && Holds(vars, t.var())) AddHeadVar(&def, t.var());
+  }
+  for (cq::VarId v : shared) {
+    if (Holds(vars, v)) AddHeadVar(&def, v);
+  }
+  return def;
+}
+
+/// The minimized sub-view over the atoms in `mask` (views are minimal by
+/// Def. 2.1).
 cq::ConjunctiveQuery MakeSubView(const cq::ConjunctiveQuery& parent,
                                  uint64_t mask,
-                                 const std::unordered_set<cq::VarId>& shared) {
-  cq::ConjunctiveQuery def;
-  std::unordered_set<cq::VarId> vars;
-  for (size_t i = 0; i < parent.atoms().size(); ++i) {
-    if (!(mask & (1ull << i))) continue;
-    def.mutable_atoms()->push_back(parent.atoms()[i]);
-    for (rdf::Column c : kColumns) {
-      cq::Term t = parent.atoms()[i].at(c);
-      if (t.is_var()) vars.insert(t.var());
+                                 const std::vector<cq::VarId>& shared) {
+  return cq::Minimize(SubViewDef(parent, mask, mask, shared));
+}
+
+/// The atoms of `atoms` in `mask` that survive in `minimal`, a minimized
+/// sub-view over them: cq::Minimize only removes atoms, so its body is a
+/// subsequence of theirs.
+uint64_t KeptAtoms(const std::vector<cq::Atom>& atoms, uint64_t mask,
+                   const std::vector<cq::Atom>& minimal) {
+  uint64_t kept = 0;
+  size_t j = 0;
+  for (size_t i = 0; i < atoms.size() && j < minimal.size(); ++i) {
+    if ((mask & (1ull << i)) && atoms[i] == minimal[j]) {
+      kept |= 1ull << i;
+      ++j;
     }
   }
-  for (const cq::Term& t : parent.head()) {
-    if (t.is_var() && vars.contains(t.var())) AddHeadVar(&def, t.var());
+  RDFVIEWS_CHECK(j == minimal.size());
+  return kept;
+}
+
+/// The variables shared by VB's two covering subsets, sorted by VarId.
+std::vector<cq::VarId> SharedVars(const std::vector<cq::Atom>& atoms,
+                                  uint64_t mask_a, uint64_t mask_b) {
+  const std::vector<cq::VarId> vars_a = VarsOfMask(atoms, mask_a);
+  const std::vector<cq::VarId> vars_b = VarsOfMask(atoms, mask_b);
+  std::vector<cq::VarId> shared;
+  std::set_intersection(vars_a.begin(), vars_a.end(), vars_b.begin(),
+                        vars_b.end(), std::back_inserter(shared));
+  return shared;
+}
+
+/// The body variables of `def` in first-occurrence order (the numbering
+/// View::CostHash renames them by).
+std::vector<cq::VarId> FirstOccurrenceVars(const cq::ConjunctiveQuery& def) {
+  std::vector<cq::VarId> vars;
+  for (const cq::Atom& a : def.atoms()) {
+    for (rdf::Column c : kColumns) {
+      cq::Term t = a.at(c);
+      if (t.is_var() && std::find(vars.begin(), vars.end(), t.var()) ==
+                            vars.end()) {
+        vars.push_back(t.var());
+      }
+    }
   }
-  std::vector<cq::VarId> extra;
-  for (cq::VarId v : shared) {
-    if (vars.contains(v)) extra.push_back(v);
-  }
-  std::sort(extra.begin(), extra.end());
-  for (cq::VarId v : extra) AddHeadVar(&def, v);
-  return cq::Minimize(def);
+  return vars;
+}
+
+/// What every preparation sets before its kind-specific part.
+void StartPrepared(const State& parent, const Transition& t,
+                   PreparedTransition* out) {
+  out->t = t;
+  out->first = nullptr;
+  out->second = nullptr;
+  out->next_var = parent.next_var();
+  out->next_view_id = parent.next_view_id();
+}
+
+/// A new view over `def`, named by the next view id.
+View NextView(PreparedTransition* p, cq::ConjunctiveQuery def) {
+  View v;
+  v.id = p->next_view_id++;
+  v.def = std::move(def);
+  v.def.set_name(v.Name());
+  return v;
+}
+
+/// Publishes a rebuilt view with the keys of `like`, the view the first
+/// derivation of the same outcome built.
+ViewPtr MakeViewLike(View v, const View& like) {
+  v.FillIdentityFrom(like);
+  return std::make_shared<const View>(std::move(v));
 }
 
 // Each transition comes in two steps. Prepare reads only the parent: it
@@ -99,10 +179,13 @@ cq::ConjunctiveQuery MakeSubView(const cq::ConjunctiveQuery& parent,
 // variables from the parent's counters in the order the transition always
 // has (SC takes its fresh variable before its view id; VF takes the rename
 // map's fresh variables after its view id). Build copies the parent,
-// installs the prepared views and rewrites the rewritings.
+// installs the prepared views and rewrites the rewritings. The Make*
+// helpers below are shared by Prepare and by TransitionOutcomeTable's
+// rebuild, so both number variables and views the same way.
 
-void PrepareSc(const State& in, const Transition& t, PreparedTransition* p) {
-  const View& v = in.views()[t.view_idx];
+/// SC's new view: `v` with the cut constant replaced by a fresh head
+/// variable.
+View MakeScView(const View& v, const Transition& t, PreparedTransition* p) {
   cq::Term old_term =
       v.def.atoms()[t.sc_occurrence.atom].at(t.sc_occurrence.column);
   RDFVIEWS_CHECK_MSG(old_term.is_const(), "SC on a non-constant position");
@@ -116,7 +199,11 @@ void PrepareSc(const State& in, const Transition& t, PreparedTransition* p) {
   nv.def.mutable_head()->push_back(cq::Term::Var(w));
   nv.def.set_name(nv.Name());
   p->sc_var = w;
-  p->first = MakeView(std::move(nv));
+  return nv;
+}
+
+void PrepareSc(const State& in, const Transition& t, PreparedTransition* p) {
+  p->first = MakeView(MakeScView(in.views()[t.view_idx], t, p));
 }
 
 void BuildSc(const State& in, const PreparedTransition& p, State* out) {
@@ -133,8 +220,10 @@ void BuildSc(const State& in, const PreparedTransition& p, State* out) {
   SubstituteView(out, v.id, repl);
 }
 
-void PrepareJc(const State& in, const Transition& t, PreparedTransition* p) {
-  const View& v = in.views()[t.view_idx];
+/// JC's cut view def: `v` with the `jc_replace` occurrence of x renamed to
+/// a fresh x', and both in the head. Sets jc_pair to (x, x').
+cq::ConjunctiveQuery MakeJcCut(const View& v, const Transition& t,
+                               PreparedTransition* p) {
   cq::Term replaced =
       v.def.atoms()[t.jc_replace.atom].at(t.jc_replace.column);
   RDFVIEWS_CHECK_MSG(replaced.is_var(), "JC on a non-variable position");
@@ -147,43 +236,40 @@ void PrepareJc(const State& in, const Transition& t, PreparedTransition* p) {
   AddHeadVar(&def2, x);
   AddHeadVar(&def2, xp);
   p->jc_pair = {x, xp};
+  return def2;
+}
 
-  std::vector<int> comp = AtomComponents(def2.atoms());
+/// The connected components of a JC cut (Def. 3.4): (all atoms, 0) when
+/// the cut view stays connected; otherwise the atoms of the component
+/// holding the first atom and those of the other one.
+std::pair<uint64_t, uint64_t> JcParts(const std::vector<cq::Atom>& atoms) {
+  std::vector<int> comp = AtomComponents(atoms);
   int num_comp = *std::max_element(comp.begin(), comp.end()) + 1;
   RDFVIEWS_CHECK_MSG(num_comp <= 2, "JC split a view into >2 components");
+  uint64_t part_a = 0;
+  uint64_t part_b = 0;
+  for (size_t i = 0; i < atoms.size(); ++i) {
+    (comp[i] == 0 ? part_a : part_b) |= 1ull << i;
+  }
+  return {part_a, part_b};
+}
 
-  if (num_comp == 1) {
-    View nv;
-    nv.id = p->next_view_id++;
-    nv.def = std::move(def2);
-    nv.def.set_name(nv.Name());
-    p->first = MakeView(std::move(nv));
+void PrepareJc(const State& in, const Transition& t, PreparedTransition* p) {
+  cq::ConjunctiveQuery def2 = MakeJcCut(in.views()[t.view_idx], t, p);
+  const auto [part_a, part_b] = JcParts(def2.atoms());
+  if (part_b == 0) {
+    p->first = MakeView(NextView(p, std::move(def2)));
     return;
   }
 
   // The view splits in two: one component holds x's remaining occurrences,
-  // the other holds x' (Def. 3.4 case 2).
-  uint64_t mask_a = 0;
-  uint64_t mask_b = 0;
-  for (size_t i = 0; i < def2.atoms().size(); ++i) {
-    if (comp[i] == 0) {
-      mask_a |= 1ull << i;
-    } else {
-      mask_b |= 1ull << i;
-    }
-  }
-  std::unordered_set<cq::VarId> no_shared;  // components share no variables
-  View va;
-  va.id = p->next_view_id++;
-  va.def = MakeSubView(def2, mask_a, no_shared);
-  va.def.set_name(va.Name());
-  View vb;
-  vb.id = p->next_view_id++;
-  vb.def = MakeSubView(def2, mask_b, no_shared);
-  vb.def.set_name(vb.Name());
+  // the other holds x' (Def. 3.4 case 2). The components share no
+  // variables.
+  View va = NextView(p, MakeSubView(def2, part_a, {}));
+  View vb = NextView(p, MakeSubView(def2, part_b, {}));
 
   // The explicit join predicate joins x with x'; orient by side.
-  if (!VarsOfMask(def2.atoms(), mask_a).contains(x)) {
+  if (!Holds(VarsOfMask(def2.atoms(), part_a), p->jc_pair.first)) {
     std::swap(p->jc_pair.first, p->jc_pair.second);
   }
   p->first = MakeView(std::move(va));
@@ -214,21 +300,10 @@ void BuildJc(const State& in, const PreparedTransition& p, State* out) {
 
 void PrepareVb(const State& in, const Transition& t, PreparedTransition* p) {
   const View& v = in.views()[t.view_idx];
-  std::unordered_set<cq::VarId> vars_a = VarsOfMask(v.def.atoms(), t.vb_mask_a);
-  std::unordered_set<cq::VarId> vars_b = VarsOfMask(v.def.atoms(), t.vb_mask_b);
-  std::unordered_set<cq::VarId> shared;
-  for (cq::VarId u : vars_a) {
-    if (vars_b.contains(u)) shared.insert(u);
-  }
-
-  View va;
-  va.id = p->next_view_id++;
-  va.def = MakeSubView(v.def, t.vb_mask_a, shared);
-  va.def.set_name(va.Name());
-  View vb;
-  vb.id = p->next_view_id++;
-  vb.def = MakeSubView(v.def, t.vb_mask_b, shared);
-  vb.def.set_name(vb.Name());
+  const std::vector<cq::VarId> shared =
+      SharedVars(v.def.atoms(), t.vb_mask_a, t.vb_mask_b);
+  View va = NextView(p, MakeSubView(v.def, t.vb_mask_a, shared));
+  View vb = NextView(p, MakeSubView(v.def, t.vb_mask_b, shared));
   p->first = MakeView(std::move(va));
   p->second = MakeView(std::move(vb));
 }
@@ -245,6 +320,21 @@ void BuildVb(const State& in, const PreparedTransition& p, State* out) {
   SubstituteView(out, v.id, repl);
 }
 
+/// VF's fused view: v1 with p->vf_head (v2's head mapped onto v1's
+/// variables) appended to its head.
+View MakeVfView(const View& v1, const View& v2, PreparedTransition* p) {
+  View v3;
+  v3.id = p->next_view_id++;
+  v3.def = v1.def;
+  for (cq::VarId mapped : p->vf_head) AddHeadVar(&v3.def, mapped);
+  v3.def.set_name(v3.Name());
+  // Build names each v3 column that mu does not reach with a fresh
+  // variable: mu is injective, so that is every column past v2's head.
+  p->next_var += static_cast<cq::VarId>(v3.def.head().size() -
+                                        v2.def.head().size());
+  return v3;
+}
+
 void PrepareVf(const State& in, const Transition& t, PreparedTransition* p) {
   const View& v1 = in.views()[t.view_idx];
   const View& v2 = in.views()[t.view_idx2];
@@ -258,23 +348,13 @@ void PrepareVf(const State& in, const Transition& t, PreparedTransition* p) {
   std::vector<cq::VarId> inverse_c1(c1.var_map.size());
   for (const auto& [var, idx] : c1.var_map) inverse_c1[idx] = var;
 
-  View v3;
-  v3.id = p->next_view_id++;
-  v3.def = v1.def;
   p->vf_head.clear();
   for (const cq::Term& t2 : v2.def.head()) {
     auto it = c2.var_map.find(t2.var());
     RDFVIEWS_CHECK(it != c2.var_map.end() && it->second < inverse_c1.size());
-    const cq::VarId mapped = inverse_c1[it->second];
-    p->vf_head.push_back(mapped);
-    AddHeadVar(&v3.def, mapped);
+    p->vf_head.push_back(inverse_c1[it->second]);
   }
-  v3.def.set_name(v3.Name());
-  // Build names each v3 column that mu does not reach with a fresh
-  // variable: mu is injective, so that is every column past v2's head.
-  p->next_var += static_cast<cq::VarId>(v3.def.head().size() -
-                                        v2.def.head().size());
-  p->first = MakeView(std::move(v3));
+  p->first = MakeView(MakeVfView(v1, v2, p));
 }
 
 void BuildVf(const State& in, const PreparedTransition& p, State* out) {
@@ -624,11 +704,7 @@ size_t EnumerateTransitionsBatch(const State& state, TransitionKind from_kind,
 
 void PrepareTransition(const State& parent, const Transition& t,
                        PreparedTransition* out) {
-  out->t = t;
-  out->first = nullptr;
-  out->second = nullptr;
-  out->next_var = parent.next_var();
-  out->next_view_id = parent.next_view_id();
+  StartPrepared(parent, t, out);
   switch (t.kind) {
     case TransitionKind::kSC: PrepareSc(parent, t, out); break;
     case TransitionKind::kJC: PrepareJc(parent, t, out); break;
@@ -671,17 +747,184 @@ State ApplyTransition(const State& state, const Transition& t, Arena* arena) {
   return BuildTransition(state, prepared, arena);
 }
 
+namespace {
+
+void RebuildJc(const View& v, const Transition& t, const TransitionOutcome& o,
+               PreparedTransition* p) {
+  cq::ConjunctiveQuery def2 = MakeJcCut(v, t, p);
+  if (o.second == nullptr) {
+    p->first = MakeViewLike(NextView(p, std::move(def2)), *o.first);
+    return;
+  }
+  View va = NextView(p, SubViewDef(def2, o.part_a, o.kept_a, {}));
+  View vb = NextView(p, SubViewDef(def2, o.part_b, o.kept_b, {}));
+  if (o.jc_swapped) std::swap(p->jc_pair.first, p->jc_pair.second);
+  p->first = MakeViewLike(std::move(va), *o.first);
+  p->second = MakeViewLike(std::move(vb), *o.second);
+}
+
+void RebuildVb(const View& v, const TransitionOutcome& o,
+               PreparedTransition* p) {
+  const std::vector<cq::VarId> shared =
+      SharedVars(v.def.atoms(), o.part_a, o.part_b);
+  View va = NextView(p, SubViewDef(v.def, o.part_a, o.kept_a, shared));
+  View vb = NextView(p, SubViewDef(v.def, o.part_b, o.kept_b, shared));
+  p->first = MakeViewLike(std::move(va), *o.first);
+  p->second = MakeViewLike(std::move(vb), *o.second);
+}
+
+void RebuildVf(const View& v1, const View& v2, const TransitionOutcome& o,
+               PreparedTransition* p) {
+  const std::vector<cq::VarId> vars = FirstOccurrenceVars(v1.def);
+  p->vf_head.clear();
+  for (uint32_t idx : o.vf_head) p->vf_head.push_back(vars[idx]);
+  p->first = MakeViewLike(MakeVfView(v1, v2, p), *o.first);
+}
+
+/// Debug cross-checks of a table hit against a fresh PrepareTransition.
+bool SameView(const ViewPtr& a, const ViewPtr& b) {
+  if (a == nullptr || b == nullptr) return a == b;
+  return a->id == b->id && a->def == b->def &&
+         a->def.name() == b->def.name() &&
+         a->def.var_names() == b->def.var_names() &&
+         a->CanonicalKey() == b->CanonicalKey() &&
+         a->BodyKey() == b->BodyKey() &&
+         a->StructuralHash() == b->StructuralHash() &&
+         a->CostHash() == b->CostHash() &&
+         a->CostBodyHash() == b->CostBodyHash();
+}
+
+bool SameAsFreshPrepare(const State& parent, const Transition& t,
+                        const PreparedTransition& got) {
+  PreparedTransition fresh;
+  PrepareTransition(parent, t, &fresh);
+  return SameView(got.first, fresh.first) &&
+         SameView(got.second, fresh.second) &&
+         got.fingerprint == fresh.fingerprint &&
+         got.next_var == fresh.next_var &&
+         got.next_view_id == fresh.next_view_id &&
+         got.sc_var == fresh.sc_var && got.jc_pair == fresh.jc_pair &&
+         got.vf_head == fresh.vf_head;
+}
+
+}  // namespace
+
+size_t TransitionOutcomeKeyHasher::operator()(
+    const TransitionOutcomeKey& k) const {
+  size_t seed = Hash128Hasher()(k.view);
+  HashCombine(&seed, static_cast<size_t>(k.kind));
+  HashCombine(&seed, k.occurrence.atom * 3 +
+                         static_cast<size_t>(k.occurrence.column));
+  HashCombine(&seed, k.mask_a);
+  HashCombine(&seed, k.mask_b);
+  HashCombine(&seed, Hash128Hasher()(k.partner));
+  return seed;
+}
+
+TransitionOutcomeKey TransitionOutcomeTable::KeyOf(const State& parent,
+                                                   const Transition& t) {
+  TransitionOutcomeKey key;
+  key.kind = t.kind;
+  key.view = parent.views()[t.view_idx].CostHash();
+  switch (t.kind) {
+    case TransitionKind::kSC: key.occurrence = t.sc_occurrence; break;
+    case TransitionKind::kJC: key.occurrence = t.jc_replace; break;
+    case TransitionKind::kVB:
+      key.mask_a = t.vb_mask_a;
+      key.mask_b = t.vb_mask_b;
+      break;
+    case TransitionKind::kVF:
+      key.partner = parent.views()[t.view_idx2].CostHash();
+      break;
+  }
+  return key;
+}
+
+void TransitionOutcomeTable::Record(const TransitionOutcomeKey& key,
+                                    const State& parent,
+                                    const PreparedTransition& p) {
+  const Transition& t = p.t;
+  const View& v = parent.views()[t.view_idx];
+  TransitionOutcome o;
+  o.delta = p.fingerprint;
+  o.delta -= parent.fingerprint();
+  o.first = p.first;
+  o.second = p.second;
+  switch (t.kind) {
+    case TransitionKind::kSC:
+      break;
+    case TransitionKind::kJC:
+      if (p.second != nullptr) {
+        PreparedTransition unswapped;
+        StartPrepared(parent, t, &unswapped);
+        const std::vector<cq::Atom> cut =
+            MakeJcCut(v, t, &unswapped).atoms();
+        std::tie(o.part_a, o.part_b) = JcParts(cut);
+        o.kept_a = KeptAtoms(cut, o.part_a, p.first->def.atoms());
+        o.kept_b = KeptAtoms(cut, o.part_b, p.second->def.atoms());
+        o.jc_swapped = p.jc_pair != unswapped.jc_pair;
+      }
+      break;
+    case TransitionKind::kVB:
+      o.part_a = t.vb_mask_a;
+      o.part_b = t.vb_mask_b;
+      o.kept_a = KeptAtoms(v.def.atoms(), o.part_a, p.first->def.atoms());
+      o.kept_b = KeptAtoms(v.def.atoms(), o.part_b, p.second->def.atoms());
+      break;
+    case TransitionKind::kVF: {
+      const std::vector<cq::VarId> vars = FirstOccurrenceVars(v.def);
+      for (cq::VarId mapped : p.vf_head) {
+        o.vf_head.push_back(static_cast<uint32_t>(
+            std::find(vars.begin(), vars.end(), mapped) - vars.begin()));
+      }
+      break;
+    }
+  }
+  outcomes_.emplace(key, std::move(o));
+}
+
+void TransitionOutcomeTable::Rebuild(const State& parent, const Transition& t,
+                                     const TransitionOutcome& outcome,
+                                     PreparedTransition* out) {
+  StartPrepared(parent, t, out);
+  const View& v = parent.views()[t.view_idx];
+  switch (t.kind) {
+    case TransitionKind::kSC:
+      out->first = MakeViewLike(MakeScView(v, t, out), *outcome.first);
+      break;
+    case TransitionKind::kJC: RebuildJc(v, t, outcome, out); break;
+    case TransitionKind::kVB: RebuildVb(v, outcome, out); break;
+    case TransitionKind::kVF:
+      RebuildVf(v, parent.views()[t.view_idx2], outcome, out);
+      break;
+  }
+  RDFVIEWS_DCHECK(SameAsFreshPrepare(parent, t, *out));
+}
+
+StateFingerprint TransitionOutcomeTable::FreshFingerprint(
+    const State& parent, const Transition& t) {
+  PreparedTransition fresh;
+  PrepareTransition(parent, t, &fresh);
+  return fresh.fingerprint;
+}
+
 size_t CloseUnderVf(State* state, const TransitionOptions& options,
-                    Arena* arena) {
+                    Arena* arena, TransitionOutcomeTable* outcomes) {
   size_t steps = 0;
   TransitionBuffer fusions;
+  PreparedTransition prepared;
   while (true) {
     fusions.Clear();
     if (EnumerateTransitionsInto(*state, TransitionKind::kVF, options,
                                  &fusions) == 0) {
       return steps;
     }
-    *state = ApplyTransition(*state, fusions[0], arena);
+    if (outcomes != nullptr) {
+      outcomes->Prepare(*state, fusions[0], &prepared);
+    } else {
+      PrepareTransition(*state, fusions[0], &prepared);
+    }
+    *state = BuildTransition(*state, prepared, arena);
     ++steps;
   }
 }

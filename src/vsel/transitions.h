@@ -14,9 +14,11 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "common/logging.h"
 #include "vsel/options.h"
 #include "vsel/state.h"
 #include "vsel/state_graph.h"
@@ -186,11 +188,139 @@ State BuildTransition(const State& parent, const PreparedTransition& prepared,
 State ApplyTransition(const State& state, const Transition& t,
                       Arena* arena = nullptr);
 
+/// What a TransitionOutcomeTable keys an outcome by: exactly what
+/// PrepareTransition reads besides the parent's counters. A view's CostHash
+/// fixes its def up to variable renaming, literal atom order kept, so every
+/// view with that hash yields the same outcome up to the same renaming.
+struct TransitionOutcomeKey {
+  TransitionKind kind = TransitionKind::kSC;
+  /// The source view's CostHash.
+  Hash128 view;
+  /// VF: the second view's CostHash.
+  Hash128 partner;
+  /// SC: the cut constant's occurrence. JC: `jc_replace` only; neither
+  /// Prepare nor Build reads `jc_other`.
+  cq::Occurrence occurrence;
+  /// VB: the two covering masks.
+  uint64_t mask_a = 0;
+  uint64_t mask_b = 0;
+
+  friend bool operator==(const TransitionOutcomeKey&,
+                         const TransitionOutcomeKey&) = default;
+};
+
+struct TransitionOutcomeKeyHasher {
+  size_t operator()(const TransitionOutcomeKey& k) const;
+};
+
+/// The part of a prepared transition that does not depend on the parent's
+/// variable and view-id numbering, and that is costly to recompute.
+struct TransitionOutcome {
+  /// The successor's fingerprint minus the parent's.
+  StateFingerprint delta;
+  /// The new views of the first preparation. A rebuilt view shares their
+  /// renaming-invariant identity (CanonicalKey, BodyKey, StructuralHash).
+  ViewPtr first;
+  ViewPtr second;
+  /// VB and splitting JC: the atoms of each side over the source view's
+  /// atoms (JC: after the cut), and the ones cq::Minimize kept of them.
+  uint64_t part_a = 0;
+  uint64_t part_b = 0;
+  uint64_t kept_a = 0;
+  uint64_t kept_b = 0;
+  /// Splitting JC: x lies in the second component, so jc_pair is (x', x).
+  bool jc_swapped = false;
+  /// VF: for each of v2's head variables, the first-occurrence index in
+  /// v1's body of the variable it maps onto.
+  std::vector<uint32_t> vf_head;
+};
+
+/// A per-search memo of transition outcomes. A search applies the same
+/// transition to the same view, up to variable renaming, in many of the
+/// states it reaches. The first time, the table runs PrepareTransition and
+/// records the outcome. Every later time it predicts the successor's
+/// fingerprint from the parent's, and either stops there (a known
+/// duplicate) or rebuilds the new views from the actual parent exactly as
+/// Prepare builds them: the same variable and view-id counters in the same
+/// order, and VB's shared head sorted by the parent's VarIds. A rebuild
+/// skips cq::Minimize, PrepareVf's two canonicalizations and the identity
+/// cache; cost hashes are computed fresh, because they depend on head and
+/// atom order. Debug builds check every hit against a fresh
+/// PrepareTransition.
+///
+/// One table serves one search on one thread: the serial SearchContext
+/// owns one, each parallel worker its own. Partitions share no constants,
+/// so a longer-lived table would only add memory.
+class TransitionOutcomeTable {
+ public:
+  /// Prepares the successor of `parent` under `t` into `*out` exactly as
+  /// PrepareTransition does, and returns true, unless `rejects(fp)` holds
+  /// for the successor's fingerprint fp: then it returns false and `*out`
+  /// holds only fp. A known outcome that `rejects` refuses is neither
+  /// prepared nor rebuilt.
+  template <typename Rejects>
+  bool Prepare(const State& parent, const Transition& t, Rejects&& rejects,
+               PreparedTransition* out);
+
+  /// Prepare that rejects nothing.
+  void Prepare(const State& parent, const Transition& t,
+               PreparedTransition* out) {
+    Prepare(parent, t, [](const StateFingerprint&) { return false; }, out);
+  }
+
+  /// Lookups that found a recorded outcome, and those that ran
+  /// PrepareTransition and recorded one.
+  uint64_t hits() const { return hits_; }
+  uint64_t misses() const { return misses_; }
+
+ private:
+  static TransitionOutcomeKey KeyOf(const State& parent, const Transition& t);
+  void Record(const TransitionOutcomeKey& key, const State& parent,
+              const PreparedTransition& prepared);
+  static void Rebuild(const State& parent, const Transition& t,
+                      const TransitionOutcome& outcome,
+                      PreparedTransition* out);
+  /// The fingerprint a fresh PrepareTransition predicts (debug checks).
+  static StateFingerprint FreshFingerprint(const State& parent,
+                                           const Transition& t);
+
+  std::unordered_map<TransitionOutcomeKey, TransitionOutcome,
+                     TransitionOutcomeKeyHasher>
+      outcomes_;
+  uint64_t hits_ = 0;
+  uint64_t misses_ = 0;
+};
+
+template <typename Rejects>
+bool TransitionOutcomeTable::Prepare(const State& parent, const Transition& t,
+                                     Rejects&& rejects,
+                                     PreparedTransition* out) {
+  const TransitionOutcomeKey key = KeyOf(parent, t);
+  const auto it = outcomes_.find(key);
+  if (it == outcomes_.end()) {
+    ++misses_;
+    PrepareTransition(parent, t, out);
+    Record(key, parent, *out);
+    return !rejects(out->fingerprint);
+  }
+  ++hits_;
+  out->fingerprint = parent.fingerprint();
+  out->fingerprint += it->second.delta;
+  if (rejects(out->fingerprint)) {
+    RDFVIEWS_DCHECK(FreshFingerprint(parent, t) == out->fingerprint);
+    return false;
+  }
+  Rebuild(parent, t, it->second, out);
+  return true;
+}
+
 /// Applies VF to `*state` in place until no two views fuse (the AVF
 /// optimization, Sec. 5.2); returns the number of fusions applied. A state
-/// that fuses nothing is left untouched, not copied.
+/// that fuses nothing is left untouched, not copied. Each fusion is
+/// prepared through `outcomes` when one is given.
 size_t CloseUnderVf(State* state, const TransitionOptions& options,
-                    Arena* arena = nullptr);
+                    Arena* arena = nullptr,
+                    TransitionOutcomeTable* outcomes = nullptr);
 
 /// The AVF closure of a copy of `state`: returns the fully-fused state and
 /// adds the number of intermediate states to `*steps`.

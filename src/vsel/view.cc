@@ -25,17 +25,9 @@ namespace rdfviews::vsel {
 
 namespace {
 
-/// One cached canonical identity. Immutable once published; hits copy the
-/// strings into the requesting View.
-struct Identity {
-  std::string canon;
-  std::string body_canon;
-  Hash128 hash;
-};
-
 struct IdentityShard {
   std::mutex mu;
-  std::unordered_map<std::string, std::shared_ptr<const Identity>> map;
+  std::unordered_map<std::string, std::shared_ptr<const ViewIdentity>> map;
 };
 
 constexpr size_t kIdentityShards = 16;
@@ -126,9 +118,7 @@ void View::ComputeCostHashes() const {
 }
 
 void View::FillIdentityCached() const {
-  if (cost_hash_ready_ && canonical_ready_ && body_ready_ && hash_ready_) {
-    return;
-  }
+  if (cost_hash_ready_ && identity_ != nullptr) return;
   size_t body_len = 0;
   std::string key = StructuralKey(&body_len);
   if (!cost_hash_ready_) {
@@ -136,45 +126,40 @@ void View::FillIdentityCached() const {
     cost_hash_ = HashBytes128(key.data(), key.size());
     cost_hash_ready_ = true;
   }
-  if (canonical_ready_ && body_ready_ && hash_ready_) return;
+  if (identity_ != nullptr) return;
   IdentityShard& shard =
       Shards()[static_cast<size_t>(cost_hash_.lo) % kIdentityShards];
   {
     std::lock_guard<std::mutex> lock(shard.mu);
     auto it = shard.map.find(key);
     if (it != shard.map.end()) {
-      const Identity& id = *it->second;
-      canon_ = id.canon;
-      body_canon_ = id.body_canon;
-      hash_ = id.hash;
-      canonical_ready_ = true;
-      body_ready_ = true;
-      hash_ready_ = true;
+      identity_ = it->second;
       HitCounter()->Add(1);
       return;
     }
   }
   // Miss: canonicalize outside the lock (the expensive part). A racing
-  // equal-key miss computes the same immutable identity; last insert wins.
-  auto id = std::make_shared<Identity>();
+  // equal-key miss computes an equal immutable identity; the first insert
+  // stays cached.
+  auto id = std::make_shared<ViewIdentity>();
   id->canon = cq::CanonicalString(def, /*include_head=*/true);
   id->body_canon = cq::CanonicalString(def, /*include_head=*/false);
   id->hash = HashBytes128(id->canon.data(), id->canon.size());
-  canon_ = id->canon;
-  body_canon_ = id->body_canon;
-  hash_ = id->hash;
-  canonical_ready_ = true;
-  body_ready_ = true;
-  hash_ready_ = true;
+  identity_ = id;
   MissCounter()->Add(1);
   std::lock_guard<std::mutex> lock(shard.mu);
   shard.map.emplace(std::move(key), std::move(id));
 }
 
+void View::FillIdentityFrom(const View& like) const {
+  RDFVIEWS_DCHECK(like.identity_ != nullptr);
+  ComputeCostHashes();
+  identity_ = like.identity_;
+}
+
 View View::Rebased(uint32_t new_id, cq::VarId var_offset) const {
-  RDFVIEWS_DCHECK(cost_hash_ready_ && canonical_ready_ && body_ready_ &&
-                  hash_ready_);
-  View out = *this;  // copies the def and every memoized key
+  RDFVIEWS_DCHECK(cost_hash_ready_ && identity_ != nullptr);
+  View out = *this;  // copies the def and shares every memoized key
   out.id = new_id;
   out.def.OffsetVars(var_offset);
   out.def.set_name(out.Name());

@@ -12,16 +12,29 @@
 
 namespace rdfviews::vsel {
 
+/// A view's canonical identity. It is renaming-invariant, so every View
+/// whose def equals another's up to variable renaming shares one immutable
+/// instance: the process-wide identity cache hands out the same object to
+/// each of them.
+struct ViewIdentity {
+  /// Head-inclusive canonical string.
+  std::string canon;
+  /// Body-only canonical string.
+  std::string body_canon;
+  /// 128-bit hash of `canon`.
+  Hash128 hash;
+};
+
 /// A materializable view: a conjunctive query whose head consists of
 /// distinct variables. The view's relation columns are named by those
 /// variables, which are globally unique within a state.
 ///
 /// Views are shared immutably between states (copy-on-write: transitions
-/// clone only the views they touch), so the canonical identity of a view —
+/// clone only the views they touch), and the canonical identity of a view —
 /// its head-inclusive canonical string, the body-only canonical string, and
-/// their 128-bit hashes — is computed at most once per View object and then
-/// reused by every state holding it. State fingerprints and the view
-/// interner are built from these memoized keys.
+/// the former's 128-bit hash — is one ViewIdentity shared by every View
+/// with an equal def up to renaming, computed once per process. State
+/// fingerprints and the view interner are built from these memoized keys.
 struct View {
   uint32_t id = 0;
   cq::ConjunctiveQuery def;
@@ -38,33 +51,14 @@ struct View {
 
   /// Head-inclusive canonical string: equal keys <=> views identical up to
   /// variable renaming (the per-view unit of the state signature).
-  const std::string& CanonicalKey() const {
-    if (!canonical_ready_) {
-      canon_ = cq::CanonicalString(def, /*include_head=*/true);
-      canonical_ready_ = true;
-    }
-    return canon_;
-  }
+  const std::string& CanonicalKey() const { return Identity().canon; }
 
   /// Body-only canonical string: equal keys <=> isomorphic bodies (the View
   /// Fusion compatibility test, Def. 3.5).
-  const std::string& BodyKey() const {
-    if (!body_ready_) {
-      body_canon_ = cq::CanonicalString(def, /*include_head=*/false);
-      body_ready_ = true;
-    }
-    return body_canon_;
-  }
+  const std::string& BodyKey() const { return Identity().body_canon; }
 
   /// 128-bit hash of CanonicalKey(); summed into the state fingerprint.
-  const Hash128& StructuralHash() const {
-    if (!hash_ready_) {
-      const std::string& key = CanonicalKey();
-      hash_ = HashBytes128(key.data(), key.size());
-      hash_ready_ = true;
-    }
-    return hash_;
-  }
+  const Hash128& StructuralHash() const { return Identity().hash; }
 
   /// Cost-model cache keys. Unlike the canonical identity above, these are
   /// *atom-order-sensitive*: the estimators anchor join-reduction factors
@@ -90,9 +84,16 @@ struct View {
   /// canonical strings and hashes. Search transitions re-derive the same
   /// few distinct views tens of thousands of times, so the expensive
   /// canonicalizations run only on the first derivation; every later
-  /// MakeView of an equal def copies the cached identity. Returns at once
+  /// MakeView of an equal def shares the cached identity. Returns at once
   /// when every key is already filled (e.g., a Rebased copy).
   void FillIdentityCached() const;
+
+  /// Fills every memoized key without canonicalizing or consulting the
+  /// identity cache: the view shares the identity (CanonicalKey, BodyKey,
+  /// StructuralHash) of `like`, a fully keyed view whose def equals this
+  /// one's up to variable renaming and head order; the cost hashes, which
+  /// depend on head and atom order, come from this def.
+  void FillIdentityFrom(const View& like) const;
 
   /// This view re-based into another id and variable space: id `new_id`,
   /// every variable shifted by `var_offset`, and the def named Name(). A
@@ -113,19 +114,19 @@ struct View {
 
   void ComputeCostHashes() const;
 
-  // Memoized canonical identity. MakeView fills every key eagerly before
-  // the View is wrapped into a shared ViewPtr, so a published View is deeply
-  // immutable and safe to read from any number of search worker threads;
-  // the lazy fill below only runs for Views costed or canonicalized before
-  // publication (e.g., stack-local temporaries in tests).
-  mutable std::string canon_;
-  mutable std::string body_canon_;
-  mutable Hash128 hash_;
+  const ViewIdentity& Identity() const {
+    if (identity_ == nullptr) FillIdentityCached();
+    return *identity_;
+  }
+
+  // Memoized keys. MakeView fills every key eagerly before the View is
+  // wrapped into a shared ViewPtr, so a published View is deeply immutable
+  // and safe to read from any number of search worker threads; the lazy
+  // fills only run for Views costed or canonicalized before publication
+  // (e.g., stack-local temporaries in tests).
+  mutable std::shared_ptr<const ViewIdentity> identity_;
   mutable Hash128 cost_hash_;
   mutable Hash128 cost_body_hash_;
-  mutable bool canonical_ready_ = false;
-  mutable bool body_ready_ = false;
-  mutable bool hash_ready_ = false;
   mutable bool cost_hash_ready_ = false;
 };
 

@@ -5,8 +5,10 @@
 // state's (cost bits, fingerprint) must equal the values recorded below.
 // Work that only makes a search step cheaper leaves all of them untouched.
 // The Parallel suite checks that the parallel engine at 2 and 4 threads
-// returns the same best as the serial one, and SuccessorSkipTest that GSTR
-// reports the duplicates it skipped without building them.
+// returns the same best as the serial one; SuccessorSkipTest, that GSTR
+// reports the duplicates it skipped without building them; and
+// TransitionOutcomeCounterTest, that identical runs count the same
+// transition-outcome hits and misses.
 //
 // On a mismatch the failure message prints the row the run produced, in
 // the table's own syntax.
@@ -245,6 +247,30 @@ TEST_F(SuccessorSkipTest, GstrSkipsKnownDuplicatesBeforeBuildingThem) {
   const uint64_t n = skipped->Value() - before;
   EXPECT_GT(n, 0u);
   EXPECT_LE(n, r.stats.duplicates);
+}
+
+using TransitionOutcomeCounterTest = AccountingFixture;
+
+TEST_F(TransitionOutcomeCounterTest, GstrCountsTheSameHitsInIdenticalRuns) {
+  SetUpWorkload("seed501");
+  telemetry::MetricsRegistry* registry = telemetry::MetricsRegistry::Default();
+  telemetry::Counter* hits =
+      registry->GetCounter("vsel_transition_outcome_hits_total");
+  telemetry::Counter* misses =
+      registry->GetCounter("vsel_transition_outcome_misses_total");
+  uint64_t run_hits[2];
+  uint64_t run_misses[2];
+  for (int run = 0; run < 2; ++run) {
+    const uint64_t hits_before = hits->Value();
+    const uint64_t misses_before = misses->Value();
+    Run(kGstr, /*avf=*/true, 1);
+    run_hits[run] = hits->Value() - hits_before;
+    run_misses[run] = misses->Value() - misses_before;
+  }
+  EXPECT_GT(run_hits[0], 0u);
+  EXPECT_GT(run_misses[0], 0u);
+  EXPECT_EQ(run_hits[1], run_hits[0]);
+  EXPECT_EQ(run_misses[1], run_misses[0]);
 }
 
 std::string WorkloadName(const ::testing::TestParamInfo<const char*>& info) {
