@@ -265,6 +265,21 @@ CostBreakdown CostModel::BreakdownUncached(const State& state) const {
   return b;
 }
 
+CostBreakdown CostModel::UnseededBreakdown(const State& state) const {
+  State fresh;
+  for (size_t i = 0; i < state.views().size(); ++i) {
+    fresh.AddView(state.views().ptr(i));
+  }
+  const RewritingList rewritings = state.rewritings();
+  fresh.SetRewritings({rewritings.begin(), rewritings.end()});
+  const Counters counters = counters_;
+  const ViewInterner::Counters interner_counters = interner_.counters();
+  const CostBreakdown b = Breakdown(fresh);
+  counters_ = counters;
+  interner_.RestoreCounters(interner_counters);
+  return b;
+}
+
 uint64_t CostModel::NextCacheKey() {
   static std::atomic<uint64_t> next{0};
   return ++next;

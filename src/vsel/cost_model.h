@@ -117,6 +117,20 @@ class CostModel {
   /// reference implementation.
   CostBreakdown BreakdownUncached(const State& state) const;
 
+  /// The Breakdown of a copy of `state` that carries no memoized term: what
+  /// a state assembled from other states' views and rewritings costs when
+  /// nothing is carried over. The debug reference for states whose slots
+  /// were seeded from other states' terms (the merge stage); leaves `state`
+  /// and this model's and its interner's counters as they were, so call it
+  /// only while no other thread costs through this model.
+  CostBreakdown UnseededBreakdown(const State& state) const;
+
+  /// The process-unique id of this model's current (instance, weights)
+  /// pair: the State::CostCache::model_key of every state it costed since
+  /// the last set_weights. A state whose model_key matches carries terms
+  /// this model would compute itself.
+  uint64_t cache_key() const { return cache_key_; }
+
   /// Sec. 6 "Weights of cost components": picks cm so that cm*VMC(S0) is
   /// within two orders of magnitude of the other components.
   static double CalibrateCm(const CostBreakdown& s0_breakdown,

@@ -11,12 +11,15 @@
 // connected-component structure rides along in IngestResult::minimized for
 // stage 2 (commonality analysis) and stage 3 (initial-state construction).
 // With a SessionCaches carryover, per-query results are keyed by the exact
-// structural form of the raw query, so a session update re-minimizes (and
-// re-reformulates) only the queries it has never seen.
+// structural form of the raw query, so a session re-minimizes (and
+// re-reformulates) only the queries it has never seen; and since a session
+// carries its live queries' results, an update runs the per-query routine
+// (IngestQuery) only for the queries it adds.
 #include <algorithm>
 #include <memory>
 #include <utility>
 
+#include "common/telemetry/metrics.h"
 #include "cq/canonical.h"
 #include "cq/containment.h"
 #include "rdf/saturation.h"
@@ -119,14 +122,14 @@ std::string ExactQueryKey(const cq::ConjunctiveQuery& q) {
   return key;
 }
 
-Result<IngestResult> Ingest(const rdf::TripleStore* store,
-                            const rdf::Dictionary* dict,
-                            const rdf::Schema* schema,
-                            const std::vector<cq::ConjunctiveQuery>& workload,
-                            const TuningConfig& options,
-                            rdf::Statistics* external_stats,
-                            SessionCaches* caches) {
-  if (workload.empty()) {
+Result<IngestResult> IngestEnvironment(const rdf::TripleStore* store,
+                                       const rdf::Dictionary* dict,
+                                       const rdf::Schema* schema,
+                                       size_t num_queries,
+                                       const TuningConfig& options,
+                                       rdf::Statistics* external_stats,
+                                       SessionCaches* caches) {
+  if (num_queries == 0) {
     return Status::InvalidArgument("empty workload");
   }
   const bool needs_schema = options.entailment != EntailmentMode::kNone;
@@ -136,7 +139,6 @@ Result<IngestResult> Ingest(const rdf::TripleStore* store,
   }
 
   IngestResult out;
-  out.queries = workload;
   out.schema = schema;
   out.materialization_store = std::shared_ptr<const rdf::TripleStore>(
       store, [](const auto*) {});
@@ -185,52 +187,80 @@ Result<IngestResult> Ingest(const rdf::TripleStore* store,
   }
   out.stats =
       external_stats != nullptr ? external_stats : out.owned_stats.get();
+  out.queries.reserve(num_queries);
+  out.minimized.reserve(num_queries);
+  if (options.entailment == EntailmentMode::kPreReformulate) {
+    out.reformulated.reserve(num_queries);
+  }
+  return out;
+}
 
-  // Per-query pass: validate, (for kPreReformulate) reformulate, minimize —
-  // each served from the session caches when the query was seen before.
+Result<IngestedQuery> IngestQuery(const cq::ConjunctiveQuery& q,
+                                  const rdf::Schema* schema,
+                                  const TuningConfig& options,
+                                  SessionCaches* caches) {
+  static telemetry::Counter* const ingested =
+      telemetry::MetricsRegistry::Default()->GetCounter(
+          "vsel_ingest_queries_total");
+  ingested->Add(1);
+  RDFVIEWS_RETURN_IF_ERROR(ValidateWorkloadQuery(q));
+  const std::string key =
+      caches != nullptr ? ExactQueryKey(q) : std::string();
+  IngestedQuery out;
+  if (options.entailment == EntailmentMode::kPreReformulate) {
+    if (caches != nullptr) {
+      auto it = caches->reformulate.find(key);
+      if (it != caches->reformulate.end()) out.reformulated = it->second;
+    }
+    if (out.reformulated == nullptr) {
+      reform::ReformulationResult r = reform::Reformulate(q, *schema);
+      if (!r.complete) {
+        return Status::ResourceExhausted(
+            "reformulation of " + q.name() + " exceeded the query budget");
+      }
+      out.reformulated =
+          std::make_shared<const cq::UnionOfQueries>(std::move(r.ucq));
+      if (caches != nullptr) {
+        caches->reformulate.emplace(key, out.reformulated);
+      }
+    }
+  }
+  if (caches != nullptr) {
+    auto it = caches->minimize.find(key);
+    if (it == caches->minimize.end()) {
+      it = caches->minimize
+               .emplace(key, std::make_shared<const MinimizedQuery>(
+                                 MinimizeQuery(q, out.reformulated.get())))
+               .first;
+    }
+    out.minimized = it->second;
+  } else {
+    out.minimized = std::make_shared<const MinimizedQuery>(
+        MinimizeQuery(q, out.reformulated.get()));
+  }
+  return out;
+}
+
+Result<IngestResult> Ingest(const rdf::TripleStore* store,
+                            const rdf::Dictionary* dict,
+                            const rdf::Schema* schema,
+                            const std::vector<cq::ConjunctiveQuery>& workload,
+                            const TuningConfig& options,
+                            rdf::Statistics* external_stats,
+                            SessionCaches* caches) {
+  Result<IngestResult> out =
+      IngestEnvironment(store, dict, schema, workload.size(), options,
+                        external_stats, caches);
+  if (!out.ok()) return out;
   const bool pre_reformulate =
       options.entailment == EntailmentMode::kPreReformulate;
-  if (pre_reformulate) out.reformulated.reserve(workload.size());
-  out.minimized.reserve(workload.size());
   for (const cq::ConjunctiveQuery& q : workload) {
-    RDFVIEWS_RETURN_IF_ERROR(ValidateWorkloadQuery(q));
-    const std::string key =
-        caches != nullptr ? ExactQueryKey(q) : std::string();
-    const cq::UnionOfQueries* ucq = nullptr;
+    Result<IngestedQuery> one = IngestQuery(q, schema, options, caches);
+    if (!one.ok()) return one.status();
+    out->queries.push_back(&q);
+    out->minimized.push_back(std::move(one->minimized));
     if (pre_reformulate) {
-      bool served = false;
-      if (caches != nullptr) {
-        auto it = caches->reformulate.find(key);
-        if (it != caches->reformulate.end()) {
-          out.reformulated.push_back(it->second);  // shared, not copied
-          served = true;
-        }
-      }
-      if (!served) {
-        reform::ReformulationResult r = reform::Reformulate(q, *schema);
-        if (!r.complete) {
-          return Status::ResourceExhausted(
-              "reformulation of " + q.name() + " exceeded the query budget");
-        }
-        auto shared = std::make_shared<const cq::UnionOfQueries>(
-            std::move(r.ucq));
-        if (caches != nullptr) caches->reformulate.emplace(key, shared);
-        out.reformulated.push_back(std::move(shared));
-      }
-      ucq = out.reformulated.back().get();
-    }
-    if (caches != nullptr) {
-      auto it = caches->minimize.find(key);
-      if (it == caches->minimize.end()) {
-        it = caches->minimize
-                 .emplace(key, std::make_shared<const MinimizedQuery>(
-                                   MinimizeQuery(q, ucq)))
-                 .first;
-      }
-      out.minimized.push_back(it->second);  // shared, not copied
-    } else {
-      out.minimized.push_back(
-          std::make_shared<const MinimizedQuery>(MinimizeQuery(q, ucq)));
+      out->reformulated.push_back(std::move(one->reformulated));
     }
   }
   return out;

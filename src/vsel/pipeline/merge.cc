@@ -13,6 +13,8 @@
 // the head order. With a single partition everything is shared, not copied
 // — the monolithic path stays byte-identical to the pre-pipeline selector.
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <string_view>
 #include <unordered_map>
 #include <utility>
@@ -66,14 +68,38 @@ std::vector<std::pair<double, double>> MergeTraces(
   return trace;
 }
 
+/// A partition best's memoized REC term for one workload query, to be
+/// carried into the merged state's slot for that query's rewriting.
+struct RecSeed {
+  bool valid = false;
+  double term = 0;
+};
+
 /// Re-bases every surviving partition's best state into one merged state
 /// (failed outcomes are skipped — their queries keep null rewritings).
 /// Fills `rewritings_by_query` (indexed by workload position) and returns
 /// the number of cross-partition duplicate views folded away.
+///
+/// Cost terms: a best state costed under the merging model (its
+/// cost_cache().model_key equals `model_key`) already holds each view's
+/// (bytes, VMC) terms and each rewriting's REC term, and the merged state's
+/// own estimates would equal them bit for bit. A view's terms come from the
+/// interner, keyed by the view's renaming-invariant cost hash, which
+/// re-basing keeps. A REC estimate walks the rewriting with per-node
+/// unordered_maps keyed by variable: re-basing renumbers the scanned views
+/// (looked up by id, never hashed) and shifts every variable by one offset,
+/// which changes neither the insertion order nor which keys share a bucket,
+/// so every sum runs in the same order. So the valid view terms are copied
+/// into the merged slots here, and the valid REC terms into
+/// `rec_seeds_by_query` for the caller to place once the rewritings are
+/// set; CostModel::Breakdown then estimates only what is missing. A
+/// partition that folded a view away into another partition's copy seeds
+/// no REC term: its rewritings now scan a different view.
 size_t MergeStates(const PartitionPlan& plan,
                    const std::vector<PartitionOutcome>& results,
-                   State* merged,
-                   std::vector<engine::ExprPtr>* rewritings_by_query) {
+                   uint64_t model_key, State* merged,
+                   std::vector<engine::ExprPtr>* rewritings_by_query,
+                   std::vector<RecSeed>* rec_seeds_by_query) {
   size_t folded = 0;
   uint32_t next_id = 0;
   cq::VarId var_base = 0;
@@ -86,9 +112,12 @@ size_t MergeStates(const PartitionPlan& plan,
   for (size_t p = 0; p < results.size(); ++p) {
     if (!results[p].ok()) continue;
     const State& best = results[p].result.search.best;
+    const bool same_model = best.cost_cache().model_key == model_key;
     const cq::VarId var_offset = var_base;
+    const size_t folded_before = folded;
     std::unordered_map<uint32_t, uint32_t> id_map;
-    for (const View& v : best.views()) {
+    for (size_t k = 0; k < best.views().size(); ++k) {
+      const View& v = best.views()[k];
       const std::string_view key = v.CanonicalKey();
       auto it = canon.find(key);
       if (it != canon.end() && it->second.first != p) {
@@ -100,6 +129,10 @@ size_t MergeStates(const PartitionPlan& plan,
       id_map[v.id] = id;
       canon.try_emplace(key, p, id);
       merged->AddView(MakeView(v.Rebased(id, var_offset)));
+      if (same_model && best.ViewTermValid(k)) {
+        merged->SetViewTerm(merged->views().size() - 1, best.ViewBytesTerm(k),
+                            best.ViewVmcTerm(k));
+      }
     }
     auto map_view = [&id_map](uint32_t id) {
       auto mi = id_map.find(id);
@@ -109,16 +142,32 @@ size_t MergeStates(const PartitionPlan& plan,
     };
     auto map_var = [var_offset](cq::VarId v) { return v + var_offset; };
     const std::vector<size_t>& group = plan.groups[p];
-    RDFVIEWS_CHECK(best.rewritings().size() == group.size());
+    const RewritingList rewritings = best.rewritings();
+    RDFVIEWS_CHECK(rewritings.size() == group.size());
+    const State::CostCache::RecEntry* rec_entries = best.rec_entries();
+    const bool seed_rec = same_model && folded == folded_before;
     for (size_t i = 0; i < group.size(); ++i) {
       (*rewritings_by_query)[group[i]] =
-          engine::Expr::Remap(best.rewritings()[i], map_view, map_var);
+          engine::Expr::Remap(rewritings[i], map_view, map_var);
+      if (seed_rec && rec_entries[i].key == rewritings[i].get()) {
+        (*rec_seeds_by_query)[group[i]] = {true, rec_entries[i].term};
+      }
     }
     var_base += best.next_var();
   }
   merged->set_next_view_id(next_id);
   merged->set_next_var(var_base);
   return folded;
+}
+
+/// Bitwise equality of two breakdowns (a seeded merge must reproduce the
+/// unseeded sums exactly, not approximately).
+bool SameBits(const CostBreakdown& a, const CostBreakdown& b) {
+  auto same = [](double x, double y) {
+    return std::bit_cast<uint64_t>(x) == std::bit_cast<uint64_t>(y);
+  };
+  return same(a.vso, b.vso) && same(a.rec, b.rec) && same(a.vmc, b.vmc) &&
+         same(a.total, b.total);
 }
 
 }  // namespace
@@ -158,8 +207,10 @@ Result<Recommendation> MergePartitions(
   } else {
     State merged;
     std::vector<engine::ExprPtr> rewritings(ingest.queries.size());
+    std::vector<RecSeed> rec_seeds(ingest.queries.size());
     rec.pipeline.merged_duplicate_views =
-        MergeStates(plan, results, &merged, &rewritings);
+        MergeStates(plan, results, cost_model->cache_key(), &merged,
+                    &rewritings, &rec_seeds);
     if (degraded) {
       // The merged state holds only the surviving rewritings, compacted in
       // ascending workload order: its StateCost is then exactly what a
@@ -168,15 +219,31 @@ Result<Recommendation> MergePartitions(
       // vector — nulls marking the failed partitions' queries — becomes
       // Recommendation::rewritings below.
       std::vector<engine::ExprPtr> compacted;
+      std::vector<RecSeed> compacted_seeds;
       compacted.reserve(ingest.queries.size());
-      for (const engine::ExprPtr& e : rewritings) {
-        if (e != nullptr) compacted.push_back(e);
+      compacted_seeds.reserve(ingest.queries.size());
+      for (size_t i = 0; i < rewritings.size(); ++i) {
+        if (rewritings[i] == nullptr) continue;
+        compacted.push_back(rewritings[i]);
+        compacted_seeds.push_back(rec_seeds[i]);
       }
       merged.SetRewritings(std::move(compacted));
+      rec_seeds = std::move(compacted_seeds);
       rec.rewritings = std::move(rewritings);
     } else {
       merged.SetRewritings(std::move(rewritings));
     }
+    // Place the carried REC terms (see MergeStates) and mark the merged
+    // state's slots as this model's, so Breakdown reuses the seeded ones
+    // and estimates the rest.
+    State::CostCache::RecEntry* rec_entries = merged.rec_entries();
+    const RewritingList merged_rewritings = merged.rewritings();
+    for (size_t i = 0; i < rec_seeds.size(); ++i) {
+      if (rec_seeds[i].valid) {
+        rec_entries[i] = {merged_rewritings[i].get(), rec_seeds[i].term};
+      }
+    }
+    merged.cost_cache().model_key = cost_model->cache_key();
 
     // Did stage 3 run the partitions concurrently? Without a report, every
     // partition was searched.
@@ -230,9 +297,14 @@ Result<Recommendation> MergePartitions(
       stats.elapsed_sec = elapsed_sum;
     }
     // Ground truth for the merged state (identical to the sum of partition
-    // bests unless the fold removed duplicates): the shared cost model
-    // re-sums the interned per-view / per-rewriting terms.
-    stats.best_cost = cost_model->StateCost(merged);
+    // bests unless the fold removed duplicates): the shared cost model sums
+    // the seeded per-view / per-rewriting terms in slot order, estimating
+    // only the unseeded ones. Debug builds check the sum bit for bit
+    // against the merged state costed with nothing seeded.
+    const CostBreakdown merged_cost = cost_model->Breakdown(merged);
+    RDFVIEWS_DCHECK(SameBits(merged_cost,
+                             cost_model->UnseededBreakdown(merged)));
+    stats.best_cost = merged_cost.total;
     rec.best_state = std::move(merged);
     rec.stats = std::move(stats);
   }

@@ -86,7 +86,7 @@ PartitionPlan PartitionWorkload(const IngestResult& ingest,
     if (minimized[i]->has_constant_free_component) {
       return SingleGroup(
           n, minimized,
-          "query " + ingest.queries[i].name() +
+          "query " + ingest.queries[i]->name() +
               " has a constant-free component (stop_var disarmed)");
     }
   }

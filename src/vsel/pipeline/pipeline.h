@@ -98,11 +98,22 @@ struct SessionCaches {
   std::shared_ptr<const rdf::TripleStore> materialization_store;
 };
 
+/// One query's stage-1 output, shared with the SessionCaches entries (never
+/// deep-copied per update).
+struct IngestedQuery {
+  std::shared_ptr<const MinimizedQuery> minimized;
+  /// kPreReformulate only: the query's union of disjuncts; null otherwise.
+  std::shared_ptr<const cq::UnionOfQueries> reformulated;
+};
+
 /// The normalized workload: everything later stages need, independent of
 /// the entailment mode that produced it.
 struct IngestResult {
-  /// The validated workload, in input order.
-  std::vector<cq::ConjunctiveQuery> queries;
+  /// The validated workload, in input order. The entries point at the
+  /// caller's queries — Ingest's `workload`, or a TuningSession's live
+  /// workload and an update's added queries — which must outlive this
+  /// result; no stage copies a query it does not change.
+  std::vector<const cq::ConjunctiveQuery*> queries;
   /// kPreReformulate only: one union of disjuncts per query (aligned with
   /// `queries`, shared with the SessionCaches entries — never deep-copied
   /// per update); empty otherwise.
@@ -137,7 +148,9 @@ std::string ExactQueryKey(const cq::ConjunctiveQuery& q);
 MinimizedQuery MinimizeQuery(const cq::ConjunctiveQuery& raw,
                              const cq::UnionOfQueries* reformulated = nullptr);
 
-/// Runs stage 1. `schema` may be null for EntailmentMode::kNone.
+/// Runs stage 1: IngestEnvironment, then IngestQuery for every query of
+/// `workload`, in order; the result points at `workload`'s queries (see
+/// IngestResult::queries). `schema` may be null for EntailmentMode::kNone.
 /// `external_stats` (optional) substitutes a caller-owned statistics
 /// provider measuring `store` directly — benches use this to reuse warm
 /// pattern-count caches across runs. It is only honored for the modes
@@ -154,6 +167,33 @@ Result<IngestResult> Ingest(const rdf::TripleStore* store,
                             const TuningConfig& options,
                             rdf::Statistics* external_stats = nullptr,
                             SessionCaches* caches = nullptr);
+
+/// Stage 1's workload-independent part, for a workload of `num_queries`
+/// queries: rejects an empty workload and an entailment mode without its
+/// schema, then returns an IngestResult with the statistics provider,
+/// materialization store and schema filled in (reused from `caches` when
+/// they hold them, recorded there otherwise) and room reserved for the
+/// per-query vectors, which the caller fills. Other parameters as for
+/// Ingest.
+Result<IngestResult> IngestEnvironment(const rdf::TripleStore* store,
+                                       const rdf::Dictionary* dict,
+                                       const rdf::Schema* schema,
+                                       size_t num_queries,
+                                       const TuningConfig& options,
+                                       rdf::Statistics* external_stats,
+                                       SessionCaches* caches);
+
+/// Stage 1 for one query, the one per-query routine: validates `q`, keys it
+/// (ExactQueryKey, only with `caches`), reformulates it under
+/// kPreReformulate and runs the single-minimization pass — each served from
+/// (and recorded in) `caches` when the key was seen before. Ingest runs it
+/// for every workload query; a TuningSession, which carries the results of
+/// its live queries, runs it only for the queries an update adds. Counted
+/// in the registry as vsel_ingest_queries_total.
+Result<IngestedQuery> IngestQuery(const cq::ConjunctiveQuery& q,
+                                  const rdf::Schema* schema,
+                                  const TuningConfig& options,
+                                  SessionCaches* caches);
 
 // ---- Stage 2: partition ----------------------------------------------------
 

@@ -87,7 +87,7 @@ Result<State> MakePartitionInitialState(const IngestResult& ingest,
     queries.reserve(group.size());
     disjuncts.reserve(group.size());
     for (size_t qi : group) {
-      queries.push_back(ingest.queries[qi]);
+      queries.push_back(*ingest.queries[qi]);
       disjuncts.push_back(ingest.minimized[qi]->minimized_disjuncts);
     }
     return MakeReformulatedInitialStateFromMinimized(queries, disjuncts);

@@ -51,8 +51,9 @@ bool SearchContext::ViolatesStopConditions(const State& s) const {
 
 void SearchContext::Init(const State& s0) {
   ArmStopConditions(s0, &stop_var_active, &stop_tt_active);
-  best = s0;
+  // Cost S0 before copying it, so a best that stays S0 carries its terms.
   best_cost = cost->StateCost(s0);
+  best = s0;
   stats.initial_cost = best_cost;
   stats.best_cost = best_cost;
   stats.best_trace.emplace_back(0.0, best_cost);

@@ -3,8 +3,11 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <cstddef>
+#include <iterator>
 #include <memory>
 #include <optional>
+#include <string_view>
 #include <unordered_set>
 #include <utility>
 
@@ -48,6 +51,45 @@ Result<Recommendation> TuningHandle::Wait() {
 }
 
 // ---- TuningSession ---------------------------------------------------------
+
+namespace {
+
+/// Debug cross-check of an update's carried stage-1 results: they must be
+/// what a full Ingest of the next workload through the session caches
+/// returns, which for every query is the cache entry under its exact key
+/// (each live query went through IngestQuery with those caches when it was
+/// added, and entries are never replaced). Read here directly rather than
+/// by re-running Ingest, so a Debug build moves vsel_ingest_queries_total
+/// exactly as a Release build does.
+bool CarriedIngestMatches(const pipeline::IngestResult& ingest,
+                          const pipeline::SessionCaches& caches,
+                          EntailmentMode entailment) {
+  const size_t n = ingest.queries.size();
+  const bool pre_reformulate = entailment == EntailmentMode::kPreReformulate;
+  if (ingest.minimized.size() != n ||
+      ingest.reformulated.size() != (pre_reformulate ? n : 0)) {
+    return false;
+  }
+  for (size_t i = 0; i < n; ++i) {
+    const cq::ConjunctiveQuery& q = *ingest.queries[i];
+    if (!ValidateWorkloadQuery(q).ok()) return false;
+    const std::string key = pipeline::ExactQueryKey(q);
+    auto m = caches.minimize.find(key);
+    if (m == caches.minimize.end() || m->second != ingest.minimized[i]) {
+      return false;
+    }
+    if (pre_reformulate) {
+      auto r = caches.reformulate.find(key);
+      if (r == caches.reformulate.end() ||
+          r->second != ingest.reformulated[i]) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
+}  // namespace
 
 TuningSession::TuningSession(
     const rdf::TripleStore* store, const rdf::Dictionary* dict,
@@ -169,17 +211,22 @@ Result<Recommendation> TuningSession::DoUpdate(
   root.Annotate("adds", static_cast<uint64_t>(add_queries.size()));
   root.Annotate("removes", static_cast<uint64_t>(remove_queries.size()));
 
-  // 1. Apply the delta to a working copy (committed only on success).
-  std::vector<cq::ConjunctiveQuery> next = workload_;
+  // 1. Resolve the delta against the live workload without applying it:
+  // the workload advances in place, and only when the update commits
+  // (step 8). `dropped` marks the removed queries (empty: none removed).
+  std::vector<bool> dropped;
+  size_t num_dropped = 0;
   if (!remove_queries.empty()) {
-    std::unordered_set<std::string> drop(remove_queries.begin(),
-                                         remove_queries.end());
-    std::unordered_set<std::string> matched;
-    std::erase_if(next, [&](const cq::ConjunctiveQuery& q) {
-      if (!drop.contains(q.name())) return false;
-      matched.insert(q.name());
-      return true;
-    });
+    const std::unordered_set<std::string_view> drop(remove_queries.begin(),
+                                                    remove_queries.end());
+    std::unordered_set<std::string_view> matched;
+    dropped.assign(workload_.size(), false);
+    for (size_t i = 0; i < workload_.size(); ++i) {
+      if (!drop.contains(workload_[i].name())) continue;
+      dropped[i] = true;
+      ++num_dropped;
+      matched.insert(workload_[i].name());
+    }
     for (const std::string& name : remove_queries) {
       if (!matched.contains(name)) {
         return Status::NotFound("TuningSession: no workload query named " +
@@ -187,8 +234,9 @@ Result<Recommendation> TuningSession::DoUpdate(
       }
     }
   }
-  next.insert(next.end(), add_queries.begin(), add_queries.end());
-  root.Annotate("queries", static_cast<uint64_t>(next.size()));
+  const size_t num_queries =
+      workload_.size() - num_dropped + add_queries.size();
+  root.Annotate("queries", static_cast<uint64_t>(num_queries));
 
   // 2. Effective options for this update: freeze cm after the first
   // calibration, and splice in the async stop token / progress tracker
@@ -208,15 +256,44 @@ Result<Recommendation> TuningSession::DoUpdate(
     };
   }
 
-  // 3. Ingest through the session caches: only never-seen queries are
-  // validated / reformulated / minimized, and the statistics provider +
-  // materialization store are built exactly once per session.
-  Result<pipeline::IngestResult> ingest = [&] {
+  // 3. Ingest: the retained queries carry their stage-1 results, so only
+  // the added ones run the per-query routine (validated, keyed, and served
+  // from the session caches or minimized / reformulated), and the
+  // statistics provider + materialization store are built exactly once
+  // per session. No query is copied: the result points at workload_ and
+  // add_queries.
+  std::vector<pipeline::IngestedQuery> added;
+  Result<pipeline::IngestResult> ingest =
+      [&]() -> Result<pipeline::IngestResult> {
     telemetry::TraceSpan span("pipeline.ingest");
-    return pipeline::Ingest(store_, dict_, schema_, next, opts,
-                            /*external_stats=*/nullptr, &caches_);
+    Result<pipeline::IngestResult> out = pipeline::IngestEnvironment(
+        store_, dict_, schema_, num_queries, opts,
+        /*external_stats=*/nullptr, &caches_);
+    if (!out.ok()) return out;
+    const bool pre_reformulate =
+        opts.entailment == EntailmentMode::kPreReformulate;
+    for (size_t i = 0; i < workload_.size(); ++i) {
+      if (!dropped.empty() && dropped[i]) continue;
+      out->queries.push_back(&workload_[i]);
+      out->minimized.push_back(ingested_[i].minimized);
+      if (pre_reformulate) {
+        out->reformulated.push_back(ingested_[i].reformulated);
+      }
+    }
+    added.reserve(add_queries.size());
+    for (const cq::ConjunctiveQuery& q : add_queries) {
+      Result<pipeline::IngestedQuery> one =
+          pipeline::IngestQuery(q, schema_, opts, &caches_);
+      if (!one.ok()) return one.status();
+      out->queries.push_back(&q);
+      out->minimized.push_back(one->minimized);
+      if (pre_reformulate) out->reformulated.push_back(one->reformulated);
+      added.push_back(std::move(*one));
+    }
+    return out;
   }();
   if (!ingest.ok()) return ingest.status();
+  RDFVIEWS_DCHECK(CarriedIngestMatches(*ingest, caches_, opts.entailment));
   if (cost_model_ == nullptr) {
     cost_model_ = std::make_unique<CostModel>(ingest->stats, opts.weights);
   }
@@ -332,7 +409,38 @@ Result<Recommendation> TuningSession::DoUpdate(
   // workload advances, the weights freeze, the completed searches become
   // reusable. A failed update leaves the session exactly as it was, so the
   // caller can retry the same delta.
-  workload_ = std::move(next);
+  // The delta is applied in place: removed queries compact out, added ones
+  // append, each with its stage-1 results (`ingest` points into the old
+  // layout and is not read past this point). Everything that can throw —
+  // copying the added queries, growing the two vectors — happens before
+  // either vector changes, so they can not fall out of step.
+  std::vector<cq::ConjunctiveQuery> added_queries(add_queries.begin(),
+                                                  add_queries.end());
+  auto make_room = [num_queries](auto& v) {
+    if (v.capacity() < num_queries) {
+      v.reserve(std::max(num_queries, 2 * v.capacity()));  // as push_back
+    }
+  };
+  make_room(workload_);
+  make_room(ingested_);
+  if (num_dropped > 0) {
+    size_t kept = 0;
+    for (size_t i = 0; i < workload_.size(); ++i) {
+      if (dropped[i]) continue;
+      if (kept != i) {
+        workload_[kept] = std::move(workload_[i]);
+        ingested_[kept] = std::move(ingested_[i]);
+      }
+      ++kept;
+    }
+    workload_.erase(workload_.begin() + static_cast<std::ptrdiff_t>(kept),
+                    workload_.end());
+    ingested_.erase(ingested_.begin() + static_cast<std::ptrdiff_t>(kept),
+                    ingested_.end());
+  }
+  std::move(added_queries.begin(), added_queries.end(),
+            std::back_inserter(workload_));
+  std::move(added.begin(), added.end(), std::back_inserter(ingested_));
   calibrated_ = true;
   for (const auto& [key, result] : cacheable) {
     telemetry::TraceSpan span("cache.put");

@@ -14,16 +14,24 @@
 //
 // Each Update runs the staged pipeline (ingest → partition → search →
 // merge), but the session carries state across updates:
-//   - per-query minimization / reformulation results (exact-key cache), so
-//     only never-seen queries are minimized;
+//   - each live query's stage-1 results (its MinimizedQuery and, under
+//     kPreReformulate, its reformulation), next to the query itself, so an
+//     update validates, keys and ingests only the queries it adds; the
+//     results of every query ever seen also stay in an exact-key cache, so
+//     a re-added query is not minimized again;
 //   - one statistics snapshot and one CostModel (with its hash-consing
 //     ViewInterner), so every distinct view is costed once per *session*;
 //   - a per-partition result cache keyed by the partition's canonical
 //     workload key (minimized, renaming-insensitive): partitions whose
 //     sub-workload is unchanged — the clean partitions — are served from
 //     cache, and only the *dirty* partitions (touched by the delta) are
-//     re-searched. An N+k-query update therefore costs O(dirty partitions),
-//     not O(N).
+//     re-searched; the merge then reuses the cost terms each partition's
+//     best state already carries.
+// An update of k added and m removed queries over N live ones therefore
+// searches O(dirty partitions) and ingests O(k) queries. What still grows
+// with N is pointer-level: the partition plan (commonality graph and group
+// keys), one backend lookup per partition, and the merge's re-basing of
+// every partition's best state into one id space.
 //
 // Invalidation rule: a partition is dirty iff its canonical workload key —
 // the concatenated renaming-insensitive keys of its member queries'
@@ -259,6 +267,9 @@ class TuningSession {
   /// constructor itself cannot return a Status).
   Status config_status_;
   std::vector<cq::ConjunctiveQuery> workload_;
+  /// Stage-1 results of workload_, aligned with it; an update ingests only
+  /// its added queries and applies the delta to both vectors on commit.
+  std::vector<pipeline::IngestedQuery> ingested_;
   pipeline::SessionCaches caches_;
   std::unique_ptr<CostModel> cost_model_;
   /// Set after the first update's cm calibration; later updates freeze the

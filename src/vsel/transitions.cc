@@ -98,6 +98,33 @@ cq::ConjunctiveQuery SubViewDef(const cq::ConjunctiveQuery& parent,
 
 /// The minimized sub-view over the atoms in `mask` (views are minimal by
 /// Def. 2.1).
+///
+/// During a search the Minimize call keeps every atom: every view a walk
+/// from S0 reaches is minimal. A CQ is minimal iff no homomorphism from
+/// its body into itself that fixes its head variables has a proper subset
+/// of the body as its image. S0's views are the connected components of
+/// minimized queries (or of minimized disjuncts under pre-reformulation),
+/// and each transition keeps minimality:
+///   - A sub-view over `mask` whose head holds every variable it shares
+///     with the rest of the parent (VB: `shared`, its two masks cover the
+///     body; splitting JC: the cut view's components share no variable)
+///     is minimal when the parent is. A shrinking endomorphism of the
+///     sub-view fixes those variables, so extending it by the identity on
+///     the other atoms gives a shrinking endomorphism of the parent.
+///   - SC and JC's cut rename one occurrence (of a constant, or of a
+///     variable) to a fresh variable, which joins the head (for JC, with
+///     the renamed variable). Undoing the renaming maps a shrinking
+///     endomorphism of the new view to one of the old: the head is fixed,
+///     and the old view has no duplicate atoms, so the image stays a
+///     proper subset. An in-place JC keeps the cut view; a splitting one
+///     takes its two components as sub-views.
+///   - VF keeps one body and widens its head, and a larger fixed set only
+///     removes endomorphisms.
+/// TransitionWalkTest.WalksReachOnlyMinimalViews checks this on random
+/// walks. Minimize still runs here, on first derivations only (rebuilds
+/// reuse the kept-atom masks the outcome table recorded), so a parent
+/// that is not minimal — only hand-built states have one — still gets
+/// minimal sub-views.
 cq::ConjunctiveQuery MakeSubView(const cq::ConjunctiveQuery& parent,
                                  uint64_t mask,
                                  const std::vector<cq::VarId>& shared) {

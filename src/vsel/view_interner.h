@@ -160,6 +160,9 @@ class ViewInterner {
 
   const Counters& counters() const { return counters_; }
   void ResetCounters() { counters_ = Counters{}; }
+  /// Sets the counters back to an earlier snapshot (for debug cross-checks
+  /// that must not show in them).
+  void RestoreCounters(const Counters& c) { counters_ = c; }
 
   /// Drops every cached estimate (e.g., when the underlying statistics
   /// change).

@@ -592,8 +592,10 @@ TEST_F(FleetDaemonTest, RemoteCacheBackendRoundTrip) {
   // A searched outcome to feed through the remote cache, produced by the
   // local pipeline over the same store.
   vsel::TuningConfig options = FastOptions();
+  const std::vector<cq::ConjunctiveQuery> workload = {queries_[0],
+                                                      queries_[2]};
   Result<vsel::pipeline::IngestResult> ingest = vsel::pipeline::Ingest(
-      &store_, &dict_, nullptr, {queries_[0], queries_[2]}, options);
+      &store_, &dict_, nullptr, workload, options);
   ASSERT_TRUE(ingest.ok()) << ingest.status().ToString();
   vsel::pipeline::PartitionPlan plan =
       vsel::pipeline::PartitionWorkload(*ingest, options);

@@ -134,10 +134,12 @@ std::vector<cq::ConjunctiveQuery> DisjointWorkload(rdf::Dictionary* dict) {
   };
 }
 
-IngestResult IngestOf(std::vector<cq::ConjunctiveQuery> queries) {
+/// A hand-built IngestResult over `queries`, which it points at (see
+/// IngestResult::queries): the caller keeps them alive.
+IngestResult IngestOf(const std::vector<cq::ConjunctiveQuery>& queries) {
   IngestResult ing;
-  ing.queries = std::move(queries);
-  for (const cq::ConjunctiveQuery& q : ing.queries) {
+  for (const cq::ConjunctiveQuery& q : queries) {
+    ing.queries.push_back(&q);
     ing.minimized.push_back(
         std::make_shared<const MinimizedQuery>(MinimizeQuery(q)));
   }
@@ -146,7 +148,8 @@ IngestResult IngestOf(std::vector<cq::ConjunctiveQuery> queries) {
 
 TEST(PartitionTest, SplitsConstantDisjointFamilies) {
   rdf::Dictionary dict;
-  IngestResult ing = IngestOf(DisjointWorkload(&dict));
+  const std::vector<cq::ConjunctiveQuery> queries = DisjointWorkload(&dict);
+  IngestResult ing = IngestOf(queries);
   TuningConfig options;
   PartitionPlan plan = PartitionWorkload(ing, options);
   EXPECT_TRUE(plan.fallback_reason.empty());
@@ -159,11 +162,12 @@ TEST(PartitionTest, SplitsConstantDisjointFamilies) {
 TEST(PartitionTest, SharedConstantConnects) {
   rdf::Dictionary dict;
   // q2 bridges the a:* and b:* families through b:p1.
-  IngestResult ing = IngestOf({
+  const std::vector<cq::ConjunctiveQuery> queries = {
       MustParse("q1(X) :- t(X, a:p1, a:c1)", &dict),
       MustParse("q2(X) :- t(X, a:p1, Y), t(Y, b:p1, a:c2)", &dict),
       MustParse("q3(X) :- t(X, b:p1, b:c1)", &dict),
-  });
+  };
+  IngestResult ing = IngestOf(queries);
   PartitionPlan plan = PartitionWorkload(ing, TuningConfig{});
   ASSERT_EQ(plan.num_partitions(), 1u);
   EXPECT_TRUE(plan.fallback_reason.empty());
@@ -171,7 +175,8 @@ TEST(PartitionTest, SharedConstantConnects) {
 
 TEST(PartitionTest, FallsBackWhenStopVarDisabled) {
   rdf::Dictionary dict;
-  IngestResult ing = IngestOf(DisjointWorkload(&dict));
+  const std::vector<cq::ConjunctiveQuery> queries = DisjointWorkload(&dict);
+  IngestResult ing = IngestOf(queries);
   TuningConfig options;
   options.heuristics.stop_var = false;
   PartitionPlan plan = PartitionWorkload(ing, options);
@@ -186,14 +191,15 @@ TEST(PartitionTest, FallsBackOnConstantFreeQuery) {
   // split is no longer provably exact.
   queries.push_back(MustParse("q6(X, Y) :- t(X, P, Y)", &dict));
   PartitionPlan plan =
-      PartitionWorkload(IngestOf(std::move(queries)), TuningConfig{});
+      PartitionWorkload(IngestOf(queries), TuningConfig{});
   EXPECT_EQ(plan.num_partitions(), 1u);
   EXPECT_FALSE(plan.fallback_reason.empty());
 }
 
 TEST(PartitionTest, FallsBackWhenDisabledOrCompetitor) {
   rdf::Dictionary dict;
-  IngestResult ing = IngestOf(DisjointWorkload(&dict));
+  const std::vector<cq::ConjunctiveQuery> queries = DisjointWorkload(&dict);
+  IngestResult ing = IngestOf(queries);
   TuningConfig disabled;
   disabled.partition.enabled = false;
   EXPECT_EQ(PartitionWorkload(ing, disabled).num_partitions(), 1u);

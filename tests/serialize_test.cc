@@ -103,7 +103,8 @@ struct Fixture {
 };
 
 /// Runs the pipeline stages up to search and returns (plan keys, results,
-/// cost model's identity inputs) for round-trip scrutiny.
+/// cost model's identity inputs) for round-trip scrutiny. The returned
+/// ingest points at `workload`'s queries.
 struct SearchedPartitions {
   pipeline::PartitionPlan plan;
   std::vector<pipeline::PartitionSearchResult> results;
@@ -307,8 +308,9 @@ class SerializeStrategyTest : public ::testing::TestWithParam<StrategyKind> {
 TEST_P(SerializeStrategyTest, StateRoundTripPreservesIdentityAndCost) {
   Fixture fx;
   TuningConfig options = fx.Options(GetParam());
+  const std::vector<cq::ConjunctiveQuery> workload = fx.All();
   SearchedPartitions searched =
-      RunPartitionSearches(fx.store, fx.dict, fx.All(), options);
+      RunPartitionSearches(fx.store, fx.dict, workload, options);
   ASSERT_FALSE(searched.results.empty());
   for (const pipeline::PartitionSearchResult& pr : searched.results) {
     const State& best = pr.search.best;

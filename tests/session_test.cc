@@ -1,7 +1,9 @@
 // Tests for the tuning-session API (src/vsel/session/): incremental
 // Update == from-scratch Recommend (view-set signature + cost) across
-// add/remove sequences for every Sec. 5 strategy, dirty-partition-only
-// re-search (asserted through the PipelineReport reuse counters),
+// add/remove sequences for every Sec. 5 strategy, the delta's semantics
+// (failed updates change nothing, removals by name, workload order),
+// dirty-partition-only re-search (asserted through the PipelineReport
+// reuse counters), per-query ingest work that scales with the delta,
 // cooperative cancellation of every engine — serial and with 8 worker
 // threads (the "Parallel"-named suites run under the TSan CI job) — and
 // the async handle's Poll / Current / Cancel / Wait lifecycle.
@@ -201,17 +203,6 @@ INSTANTIATE_TEST_SUITE_P(Strategies, SessionEquivalenceTest,
                            return StrategyName(info.param);
                          });
 
-TEST(SessionTest, RemoveUnknownNameFails) {
-  SessionFixture fx;
-  TuningSession session(&fx.store, &fx.dict,
-                        fx.Options(StrategyKind::kGstr));
-  ASSERT_TRUE(session.Update(fx.initial).ok());
-  Result<Recommendation> rec = session.Update({}, {"no_such_query"});
-  EXPECT_FALSE(rec.ok());
-  // The failed update must not have advanced the workload.
-  EXPECT_EQ(session.workload().size(), fx.initial.size());
-}
-
 TEST(SessionTest, InvalidateCachedResultsForcesResearch) {
   SessionFixture fx;
   TuningSession session(&fx.store, &fx.dict,
@@ -225,6 +216,197 @@ TEST(SessionTest, InvalidateCachedResultsForcesResearch) {
   EXPECT_EQ(rec->pipeline.partitions_reused, 0u);
   EXPECT_EQ(rec->pipeline.partitions_searched,
             rec->pipeline.num_partitions);
+}
+
+// ---- Update delta semantics ------------------------------------------------
+
+std::vector<std::string> Names(const std::vector<cq::ConjunctiveQuery>& qs) {
+  std::vector<std::string> names;
+  for (const cq::ConjunctiveQuery& q : qs) names.push_back(q.name());
+  return names;
+}
+
+/// Two sessions are in the same state iff their workloads hold the same
+/// names in the same order, their backends the same number of entries, and
+/// the same next update (`next_add`, applied to both) recommends the same
+/// view set at the same cost, to the bit.
+void ExpectSameSessionState(TuningSession* session, TuningSession* reference,
+                            const std::vector<cq::ConjunctiveQuery>& next_add) {
+  EXPECT_EQ(Names(session->workload()), Names(reference->workload()));
+  EXPECT_EQ(session->cached_partitions(), reference->cached_partitions());
+  Result<Recommendation> got = session->Update(next_add);
+  Result<Recommendation> want = reference->Update(next_add);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+  EXPECT_EQ(got->best_state.Signature(), want->best_state.Signature());
+  EXPECT_EQ(got->stats.best_cost, want->stats.best_cost);
+  EXPECT_EQ(Names(session->workload()), Names(reference->workload()));
+}
+
+TEST(SessionTest, RemoveUnknownNameFails) {
+  SessionFixture fx;
+  const TuningConfig options = fx.Options(StrategyKind::kGstr);
+  TuningSession session(&fx.store, &fx.dict, options);
+  TuningSession reference(&fx.store, &fx.dict, options);
+  ASSERT_TRUE(session.Update(fx.initial).ok());
+  ASSERT_TRUE(reference.Update(fx.initial).ok());
+
+  // A known name listed with an unknown one: nothing is removed or added.
+  Result<Recommendation> rec =
+      session.Update({fx.delta[0]}, {"q1", "no_such_query"});
+  ASSERT_FALSE(rec.ok());
+  EXPECT_EQ(rec.status().code(), StatusCode::kNotFound);
+  ExpectSameSessionState(&session, &reference, fx.delta);
+}
+
+TEST(SessionTest, InvalidAddedQueryLeavesTheSessionUntouched) {
+  SessionFixture fx;
+  const TuningConfig options = fx.Options(StrategyKind::kGstr);
+  TuningSession session(&fx.store, &fx.dict, options);
+  TuningSession reference(&fx.store, &fx.dict, options);
+  ASSERT_TRUE(session.Update(fx.initial).ok());
+  ASSERT_TRUE(reference.Update(fx.initial).ok());
+
+  cq::ConjunctiveQuery bad = MustParse("q7(X) :- t(X, a:p1, a:c2)", &fx.dict);
+  bad.mutable_head()->push_back(bad.head()[0]);  // repeated head variable
+  const Status invalid = ValidateWorkloadQuery(bad);
+  ASSERT_FALSE(invalid.ok());
+  // A valid add before the invalid one, and a removal: none of it lands.
+  Result<Recommendation> rec = session.Update({fx.delta[0], bad}, {"q3"});
+  ASSERT_FALSE(rec.ok());
+  EXPECT_EQ(rec.status().code(), invalid.code());
+  EXPECT_EQ(rec.status().message(), invalid.message());
+  ExpectSameSessionState(&session, &reference, fx.delta);
+}
+
+TEST(SessionTest, RemovingASharedNameDropsEveryQueryWithIt) {
+  SessionFixture fx;
+  const TuningConfig options = fx.Options(StrategyKind::kGstr);
+  TuningSession session(&fx.store, &fx.dict, options);
+  std::vector<cq::ConjunctiveQuery> workload = fx.initial;
+  workload.push_back(MustParse("q2(X) :- t(X, b:p2, b:c1)", &fx.dict));
+  ASSERT_TRUE(session.Update(workload).ok());
+
+  Result<Recommendation> rec = session.Update({}, {"q2"});
+  ASSERT_TRUE(rec.ok()) << rec.status().ToString();
+  EXPECT_EQ(Names(session.workload()),
+            (std::vector<std::string>{"q1", "q3", "q4"}));
+  ExpectSameRecommendation(*rec, fx.Scratch(session.workload(), options));
+}
+
+TEST(SessionTest, RemoveAndReaddInOneUpdateAppendsTheNewQuery) {
+  SessionFixture fx;
+  const TuningConfig options = fx.Options(StrategyKind::kGstr);
+  TuningSession session(&fx.store, &fx.dict, options);
+  ASSERT_TRUE(session.Update(fx.initial).ok());
+
+  // Removals apply to the live workload before the adds append, so the
+  // new q2 survives its own name's removal and lands last.
+  const cq::ConjunctiveQuery replacement =
+      MustParse("q2(X) :- t(X, a:p2, a:c2)", &fx.dict);
+  Result<Recommendation> rec = session.Update({replacement}, {"q2"});
+  ASSERT_TRUE(rec.ok()) << rec.status().ToString();
+  EXPECT_EQ(Names(session.workload()),
+            (std::vector<std::string>{"q1", "q3", "q4", "q2"}));
+  EXPECT_TRUE(session.workload().back() == replacement);
+  const std::vector<cq::ConjunctiveQuery> expected = {
+      fx.initial[0], fx.initial[2], fx.initial[3], replacement};
+  ExpectSameRecommendation(*rec, fx.Scratch(expected, options));
+  EXPECT_EQ(rec->rewritings.size(), expected.size());
+}
+
+TEST(SessionTest, WorkloadKeepsItsOrderAcrossMixedUpdates) {
+  SessionFixture fx;
+  const TuningConfig options = fx.Options(StrategyKind::kGstr);
+  TuningSession session(&fx.store, &fx.dict, options);
+  const cq::ConjunctiveQuery& q1 = fx.initial[0];
+  const cq::ConjunctiveQuery& q2 = fx.initial[1];
+  const cq::ConjunctiveQuery& q3 = fx.initial[2];
+  const cq::ConjunctiveQuery& q4 = fx.initial[3];
+  const cq::ConjunctiveQuery& q5 = fx.delta[0];
+  const cq::ConjunctiveQuery& q6 = fx.delta[1];
+  struct Step {
+    std::vector<cq::ConjunctiveQuery> add;
+    std::vector<std::string> remove;
+    std::vector<cq::ConjunctiveQuery> expected;
+  };
+  const std::vector<Step> steps = {
+      {fx.initial, {}, {q1, q2, q3, q4}},
+      {fx.delta, {"q2"}, {q1, q3, q4, q5, q6}},
+      {{q2}, {"q4", "q6"}, {q1, q3, q5, q2}},
+      {{q6, q4}, {"q1"}, {q3, q5, q2, q6, q4}},
+      {{}, {"q5", "q3"}, {q2, q6, q4}},
+  };
+  for (size_t i = 0; i < steps.size(); ++i) {
+    SCOPED_TRACE("step " + std::to_string(i));
+    Result<Recommendation> rec =
+        session.Update(steps[i].add, steps[i].remove);
+    ASSERT_TRUE(rec.ok()) << rec.status().ToString();
+    EXPECT_EQ(Names(session.workload()), Names(steps[i].expected));
+    EXPECT_TRUE(session.workload() == steps[i].expected);
+    ExpectSameRecommendation(*rec, fx.Scratch(steps[i].expected, options));
+  }
+}
+
+// ---- Work that scales with the delta ---------------------------------------
+
+/// `n` constant-disjoint two-atom queries w<first>..w<first+n-1>, one
+/// commonality family (and so one partition) each.
+std::vector<cq::ConjunctiveQuery> FamilyQueries(size_t first, size_t n,
+                                                rdf::Dictionary* dict) {
+  std::vector<cq::ConjunctiveQuery> out;
+  for (size_t i = first; i < first + n; ++i) {
+    const std::string f = "f" + std::to_string(i);
+    out.push_back(MustParse("w" + std::to_string(i) + "(X, Y) :- t(X, " + f +
+                                ":p1, Y), t(Y, " + f + ":p2, " + f + ":c1)",
+                            dict));
+  }
+  return out;
+}
+
+TEST(SessionTest, IngestWorkScalesWithTheDelta) {
+  rdf::Dictionary dict;
+  const std::vector<cq::ConjunctiveQuery> initial =
+      FamilyQueries(0, 240, &dict);
+  const std::vector<cq::ConjunctiveQuery> added =
+      FamilyQueries(240, 3, &dict);
+  std::vector<cq::ConjunctiveQuery> all = initial;
+  all.insert(all.end(), added.begin(), added.end());
+  const rdf::TripleStore store =
+      workload::GenerateStoreForWorkload(all, &dict, 5000, 7);
+  TuningConfig options;
+  options.strategy = StrategyKind::kGstr;
+  options.auto_calibrate_cm = false;
+  TuningSession session(&store, &dict, options);
+
+  telemetry::MetricsRegistry* reg = telemetry::MetricsRegistry::Default();
+  telemetry::Counter* ingested = reg->GetCounter("vsel_ingest_queries_total");
+  telemetry::Counter* canonicalized = reg->GetCounter("cq_canonicalize_total");
+  uint64_t before = ingested->Value();
+  ASSERT_TRUE(session.Update(initial).ok());
+  EXPECT_EQ(ingested->Value() - before, initial.size());
+
+  // k = 3 adds and m = 5 removes ingest the 3 added queries only.
+  before = ingested->Value();
+  Result<Recommendation> updated =
+      session.Update(added, {"w0", "w17", "w99", "w150", "w239"});
+  ASSERT_TRUE(updated.ok()) << updated.status().ToString();
+  EXPECT_EQ(ingested->Value() - before, added.size());
+  EXPECT_EQ(session.workload().size(), initial.size() - 5 + added.size());
+
+  // No delta: nothing is ingested, canonicalized or re-estimated — the
+  // merge sums the REC terms the cached partition bests carry.
+  before = ingested->Value();
+  const uint64_t canonicalized_before = canonicalized->Value();
+  Result<Recommendation> again = session.Recommend();
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  EXPECT_EQ(again->pipeline.partitions_searched, 0u);
+  EXPECT_EQ(ingested->Value(), before);
+  EXPECT_EQ(canonicalized->Value(), canonicalized_before);
+  EXPECT_EQ(again->cost_counters.rec_computed.load(),
+            updated->cost_counters.rec_computed.load());
+  EXPECT_EQ(again->stats.best_cost, updated->stats.best_cost);
+  EXPECT_EQ(again->best_state.Signature(), updated->best_state.Signature());
 }
 
 // ---- Cancellation ----------------------------------------------------------

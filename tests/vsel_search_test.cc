@@ -148,6 +148,29 @@ TEST_F(SearchFixture, Figure3SpaceHasNineStates) {
   EXPECT_EQ(r->stats.created - r->stats.duplicates, 8u);
 }
 
+TEST_F(SearchFixture, SerialBestThatStaysS0CarriesItsCostTerms) {
+  // One one-atom query: no VB, JC or VF applies and SC only raises the
+  // cost, so every complete search keeps S0 as its best. That best must
+  // carry the terms costing S0 computed, under this model's key, so a
+  // merge can sum them instead of estimating them again.
+  HeuristicOptions heur;
+  SearchLimits limits;
+  limits.num_threads = 1;
+  for (StrategyKind kind : {StrategyKind::kExNaive, StrategyKind::kExStr,
+                            StrategyKind::kDfs, StrategyKind::kGstr}) {
+    SCOPED_TRACE(StrategyName(kind));
+    // A fresh S0 per search: one the previous search costed would carry
+    // its terms into any copy.
+    State s0 = InitialState({"q(X) :- t(X, hasPainted, starryNight)"});
+    Result<SearchResult> r = RunSearch(kind, s0, model_, heur, limits);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    ASSERT_TRUE(r->stats.completed);
+    ASSERT_EQ(r->best.fingerprint(), s0.fingerprint());
+    EXPECT_TRUE(r->best.AllViewTermsValid());
+    EXPECT_EQ(r->best.cost_cache().model_key, model_.cache_key());
+  }
+}
+
 TEST_F(SearchFixture, ExhaustiveStrategiesAgreeOnBestCost) {
   State s0 = InitialState(
       {"q1(X) :- t(X, hasPainted, starryNight), t(X, isParentOf, Y)",

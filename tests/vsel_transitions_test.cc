@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 
+#include "cq/containment.h"
 #include "engine/executor.h"
 #include "engine/materializer.h"
+#include "rdf/vocabulary.h"
+#include "reform/reformulate.h"
 #include "test_util.h"
 #include "vsel/transitions.h"
 
@@ -13,6 +17,7 @@ namespace {
 using rdfviews::testing::MustParse;
 using rdfviews::testing::PaintersFixture;
 using rdfviews::testing::RandomQuery;
+using rdfviews::testing::RandomSchema;
 using rdfviews::testing::RandomStore;
 
 void ExpectStateAnswersWorkload(
@@ -344,6 +349,98 @@ TEST_P(TransitionWalkTest, RandomTransitionWalksPreserveEquivalence) {
                                "step " + std::to_string(step) + " " +
                                    t.ToString());
   }
+}
+
+/// The views of `state` with an id of at least `first_id` (a transition's
+/// new views draw ids from the parent's counter) that cq::Minimize would
+/// shrink, as text.
+std::vector<std::string> NonMinimalViews(const State& state,
+                                         uint32_t first_id) {
+  std::vector<std::string> out;
+  for (const View& v : state.views()) {
+    if (v.id >= first_id &&
+        cq::Minimize(v.def).atoms().size() != v.def.atoms().size()) {
+      out.push_back(v.def.ToString());
+    }
+  }
+  return out;
+}
+
+TEST_P(TransitionWalkTest, WalksReachOnlyMinimalViews) {
+  // Random walks over all four transition kinds, with and without AVF
+  // closing every state, from the plain and the pre-reformulated S0: the
+  // successors drawn at every state a walk visits hold only minimal views,
+  // as MakeSubView's comment argues.
+  rdf::Dictionary dict;
+  rdf::Schema schema = RandomSchema(&dict, 5, 4, GetParam());
+  rdf::TripleStore store = RandomStore(&dict, 60, 10, 4, GetParam());
+  Rng rng(GetParam() * 11 + 5);
+  // A view whose VB sub-views fold unless their shared variables stay in
+  // the head: {t(X, p0, Y), t(X, p0, Z)} without Z would fold onto one atom.
+  std::vector<cq::ConjunctiveQuery> workload = {
+      MustParse("qf(X, Y) :- t(X, p0, Y), t(X, p0, Z), t(Z, p1, W)", &dict)};
+  for (int i = 0; i < 3; ++i) {
+    cq::ConjunctiveQuery q =
+        RandomQuery(store, 2 + rng.Below(3), 2, rng.raw());
+    if (i != 1) {
+      // An rdf:type atom lets the schema's class rules fire.
+      cq::Atom type_atom;
+      type_atom.s = cq::Term::Var(q.BodyVars()[0]);
+      type_atom.p = cq::Term::Const(rdf::kRdfType);
+      type_atom.o = cq::Term::Const(
+          dict.Intern("c" + std::to_string(rng.Below(5))));
+      q.mutable_atoms()->push_back(type_atom);
+    }
+    q.set_name("q" + std::to_string(i));
+    workload.push_back(std::move(q));
+  }
+  std::vector<cq::UnionOfQueries> reformulated;
+  for (const cq::ConjunctiveQuery& q : workload) {
+    reform::ReformulationResult r = reform::Reformulate(q, schema);
+    ASSERT_TRUE(r.complete);
+    reformulated.push_back(std::move(r.ucq));
+  }
+  Result<State> plain = MakeInitialState(workload);
+  Result<State> pre = MakeReformulatedInitialState(workload, reformulated);
+  ASSERT_TRUE(plain.ok()) << plain.status().ToString();
+  ASSERT_TRUE(pre.ok()) << pre.status().ToString();
+
+  const TransitionOptions topts;
+  size_t successors = 0;
+  for (const State* s0 : {&*plain, &*pre}) {
+    for (bool avf : {false, true}) {
+      SCOPED_TRACE(std::string(s0 == &*plain ? "plain" : "pre") +
+                   (avf ? " S0, AVF" : " S0"));
+      size_t fused = 0;
+      State current = avf ? AvfClosure(*s0, topts, &fused) : *s0;
+      EXPECT_EQ(NonMinimalViews(current, 0), std::vector<std::string>{});
+      for (int step = 0; step < 6; ++step) {
+        std::vector<Transition> all;
+        for (TransitionKind kind :
+             {TransitionKind::kVB, TransitionKind::kSC, TransitionKind::kJC,
+              TransitionKind::kVF}) {
+          std::vector<Transition> ts =
+              EnumerateTransitions(current, kind, topts);
+          all.insert(all.end(), ts.begin(), ts.end());
+        }
+        if (all.empty()) break;
+        // Up to 12 successors per visited state, drawn at random; the walk
+        // continues from one of them.
+        std::vector<State> next;
+        for (size_t n = 0; n < std::min<size_t>(all.size(), 12); ++n) {
+          const Transition& t = all[rng.Below(all.size())];
+          next.push_back(ApplyTransition(current, t));
+          if (avf) next.back() = AvfClosure(next.back(), topts, &fused);
+          ++successors;
+          EXPECT_EQ(NonMinimalViews(next.back(), current.next_view_id()),
+                    std::vector<std::string>{})
+              << "step " << step << " " << t.ToString();
+        }
+        current = std::move(next[rng.Below(next.size())]);
+      }
+    }
+  }
+  EXPECT_GT(successors, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TransitionWalkTest,
