@@ -1,7 +1,10 @@
 #include "vsel/cost_model.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstddef>
+#include <optional>
 
 #include "common/logging.h"
 
@@ -12,17 +15,18 @@ namespace {
 constexpr rdf::Column kColumns[3] = {rdf::Column::kS, rdf::Column::kP,
                                      rdf::Column::kO};
 
-/// First body occurrence column of each variable, for width/distinct lookup.
-std::unordered_map<cq::VarId, rdf::Column> FirstColumns(
-    const cq::ConjunctiveQuery& def) {
-  std::unordered_map<cq::VarId, rdf::Column> out;
+/// The column of `v`'s first body occurrence in `def` (atoms in order, each
+/// in S, P, O order), for width/distinct lookup; none when the body does
+/// not hold `v`.
+std::optional<rdf::Column> FirstColumn(const cq::ConjunctiveQuery& def,
+                                       cq::VarId v) {
   for (const cq::Atom& a : def.atoms()) {
     for (rdf::Column c : kColumns) {
-      cq::Term t = a.at(c);
-      if (t.is_var()) out.emplace(t.var(), c);
+      const cq::Term t = a.at(c);
+      if (t.is_var() && t.var() == v) return c;
     }
   }
-  return out;
+  return std::nullopt;
 }
 
 }  // namespace
@@ -78,12 +82,10 @@ namespace {
 
 /// Summed average width of the head columns.
 double HeadWidth(const View& view, const rdf::Statistics& stats) {
-  std::unordered_map<cq::VarId, rdf::Column> cols = FirstColumns(view.def);
   double width = 0;
   for (const cq::Term& t : view.def.head()) {
-    auto it = cols.find(t.var());
-    double w = it != cols.end() ? stats.AvgWidth(it->second) : 8.0;
-    width += w;
+    const std::optional<rdf::Column> col = FirstColumn(view.def, t.var());
+    width += col.has_value() ? stats.AvgWidth(*col) : 8.0;
   }
   return width;
 }
@@ -113,11 +115,11 @@ double CostModel::Vso(const State& state) const {
   return total;
 }
 
-CostModel::NodeEstimate CostModel::EstimateExpr(const engine::Expr& expr,
-                                                const State& state,
-                                                bool cached) const {
+CostModel::NodeEstimate CostModel::EstimateExpr(
+    const engine::Expr& expr, const State& state, bool cached,
+    std::pmr::memory_resource* mem) const {
   using Kind = engine::Expr::Kind;
-  NodeEstimate out;
+  NodeEstimate out(mem);
   switch (expr.kind()) {
     case Kind::kScan: {
       int idx = state.ViewIndexById(expr.view_id());
@@ -126,25 +128,25 @@ CostModel::NodeEstimate CostModel::EstimateExpr(const engine::Expr& expr,
       const View& v = state.views()[static_cast<size_t>(idx)];
       out.card = cached ? CachedViewCardinality(v) : ViewCardinality(v.def);
       out.io = out.card;
-      std::unordered_map<cq::VarId, rdf::Column> cols = FirstColumns(v.def);
       for (cq::VarId name : expr.scan_columns()) {
         // Columns are positionally the view's head; map through head order.
         out.distinct[name] = out.card;
       }
       // Refine with the column-kind distinct bound.
-      const std::vector<cq::VarId> head = v.Columns();
+      const std::vector<cq::Term>& head = v.def.head();
       for (size_t i = 0; i < head.size() && i < expr.scan_columns().size();
            ++i) {
-        auto it = cols.find(head[i]);
-        if (it == cols.end()) continue;
-        double d = static_cast<double>(stats_->DistinctValues(it->second));
+        const std::optional<rdf::Column> col =
+            FirstColumn(v.def, head[i].var());
+        if (!col.has_value()) continue;
+        double d = static_cast<double>(stats_->DistinctValues(*col));
         double& slot = out.distinct[expr.scan_columns()[i]];
         slot = std::max(1.0, std::min(slot, d));
       }
       break;
     }
     case Kind::kSelect: {
-      NodeEstimate child = EstimateExpr(*expr.child(), state, cached);
+      NodeEstimate child = EstimateExpr(*expr.child(), state, cached, mem);
       double selectivity = 1.0;
       for (const engine::Condition& c : expr.conditions()) {
         auto it = child.distinct.find(c.lhs);
@@ -158,19 +160,20 @@ CostModel::NodeEstimate CostModel::EstimateExpr(const engine::Expr& expr,
         }
         selectivity /= std::max(1.0, d);
       }
-      out = child;
-      out.card = child.card * selectivity;
-      out.cpu += child.card;  // one filtering pass over the input
+      const double in_card = child.card;
+      out = std::move(child);
+      out.card = in_card * selectivity;
+      out.cpu += in_card;  // one filtering pass over the input
       for (auto& [var, d] : out.distinct) d = std::min(d, out.card);
       break;
     }
     case Kind::kProject: {
-      NodeEstimate child = EstimateExpr(*expr.child(), state, cached);
-      out = child;  // projection is free (see header)
+      // Projection is free (see header).
+      out = EstimateExpr(*expr.child(), state, cached, mem);
       break;
     }
     case Kind::kRename: {
-      NodeEstimate child = EstimateExpr(*expr.child(), state, cached);
+      NodeEstimate child = EstimateExpr(*expr.child(), state, cached, mem);
       out.card = child.card;
       out.io = child.io;
       out.cpu = child.cpu;
@@ -181,8 +184,8 @@ CostModel::NodeEstimate CostModel::EstimateExpr(const engine::Expr& expr,
       break;
     }
     case Kind::kJoin: {
-      NodeEstimate l = EstimateExpr(*expr.left(), state, cached);
-      NodeEstimate r = EstimateExpr(*expr.right(), state, cached);
+      NodeEstimate l = EstimateExpr(*expr.left(), state, cached, mem);
+      NodeEstimate r = EstimateExpr(*expr.right(), state, cached, mem);
       out.io = l.io + r.io;
       out.cpu = l.cpu + r.cpu;
       double card = l.card * r.card;
@@ -199,7 +202,7 @@ CostModel::NodeEstimate CostModel::EstimateExpr(const engine::Expr& expr,
       out.card = card;
       // Hash join: build + probe + output.
       out.cpu += l.card + r.card + card;
-      out.distinct = l.distinct;
+      out.distinct = std::move(l.distinct);
       for (const auto& [var, d] : r.distinct) {
         auto [it, inserted] = out.distinct.emplace(var, d);
         if (!inserted) it->second = std::min(it->second, d);
@@ -209,7 +212,7 @@ CostModel::NodeEstimate CostModel::EstimateExpr(const engine::Expr& expr,
     }
     case Kind::kUnion: {
       for (const engine::ExprPtr& c : expr.children()) {
-        NodeEstimate child = EstimateExpr(*c, state, cached);
+        NodeEstimate child = EstimateExpr(*c, state, cached, mem);
         out.card += child.card;
         out.io += child.io;
         out.cpu += child.cpu;
@@ -217,7 +220,7 @@ CostModel::NodeEstimate CostModel::EstimateExpr(const engine::Expr& expr,
       break;
     }
     case Kind::kArrange: {
-      NodeEstimate child = EstimateExpr(*expr.child(), state, cached);
+      NodeEstimate child = EstimateExpr(*expr.child(), state, cached, mem);
       out.card = child.card;
       out.io = child.io;
       out.cpu = child.cpu;
@@ -236,7 +239,11 @@ CostModel::NodeEstimate CostModel::EstimateExpr(const engine::Expr& expr,
 
 double CostModel::RecTerm(const engine::Expr& expr, const State& state,
                           bool cached) const {
-  NodeEstimate e = EstimateExpr(expr, state, cached);
+  // Every node's distinct map is carved from this buffer; a rewriting that
+  // outgrows it continues on the heap.
+  std::array<std::byte, 4096> buffer;
+  std::pmr::monotonic_buffer_resource mem(buffer.data(), buffer.size());
+  const NodeEstimate e = EstimateExpr(expr, state, cached, &mem);
   return weights_.c1 * e.io + weights_.c2 * e.cpu;
 }
 

@@ -28,6 +28,7 @@
 #define RDFVIEWS_VSEL_COST_MODEL_H_
 
 #include <atomic>
+#include <memory_resource>
 #include <unordered_map>
 
 #include "rdf/statistics.h"
@@ -182,14 +183,22 @@ class CostModel {
 
  private:
   struct NodeEstimate {
+    explicit NodeEstimate(std::pmr::memory_resource* mem) : distinct(mem) {}
+
     double card = 0;
     double io = 0;   // sum of scanned view cardinalities in the subtree
     double cpu = 0;  // accumulated cpu cost of the subtree
-    std::unordered_map<cq::VarId, double> distinct;
+    /// Estimated distinct values per output column. A join divides by its
+    /// natural keys in this map's iteration order, which fixes the
+    /// estimate's last bits: that order follows from the insertion order
+    /// and the bucket count, so every node fills a fresh map (a cleared
+    /// one keeps its bucket count) with std::hash, as always.
+    std::pmr::unordered_map<cq::VarId, double> distinct;
   };
 
+  /// Estimates `expr`; every node's distinct map is drawn from `mem`.
   NodeEstimate EstimateExpr(const engine::Expr& expr, const State& state,
-                            bool cached) const;
+                            bool cached, std::pmr::memory_resource* mem) const;
 
   /// REC contribution of one rewriting: c1 * io + c2 * cpu.
   double RecTerm(const engine::Expr& expr, const State& state,

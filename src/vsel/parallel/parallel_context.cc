@@ -1,7 +1,6 @@
 #include "vsel/parallel/parallel_context.h"
 
 #include "vsel/search.h"
-#include "vsel/search_internal.h"
 
 namespace rdfviews::vsel::parallel {
 
@@ -57,7 +56,7 @@ ParallelSearchContext::ParallelSearchContext(const CostModel* cost_model,
 }
 
 void ParallelSearchContext::Init(const State& s0) {
-  internal::ArmStopConditions(s0, &stop_var_active_, &stop_tt_active_);
+  stop_conditions_ = internal::ArmStopConditions(s0, heur);
 
   // Every pattern a search state can count is a relaxation of an S0 atom
   // (SC replaces constants by variables; VB/JC/VF only redistribute atoms).
@@ -112,9 +111,22 @@ bool ParallelSearchContext::OutOfBudget() {
   return false;
 }
 
-std::optional<ParallelSearchContext::Admitted> ParallelSearchContext::Admit(
-    State s, int phase, WorkerLocal* local) {
+std::optional<ParallelSearchContext::Admitted>
+ParallelSearchContext::AdmitSuccessor(const State& parent, const Transition& t,
+                                      int phase, WorkerLocal* local) {
+  // Exact for the reason the serial KnownDuplicate is; a stale "not seen"
+  // answer only falls back to the full path.
+  auto known_duplicate = [this, phase](const StateFingerprint& fp) {
+    const bool unclosed = unclosed_s0_.has_value() && fp == *unclosed_s0_;
+    return !unclosed && seen.Rejects(fp, phase);
+  };
   SearchStats* stats = &local->stats;
+  PreparedTransition prepared;
+  const SuccessorFate fate = internal::PrepareSuccessor(
+      parent, t, stop_conditions_, heur.avf, known_duplicate,
+      &local->outcomes, stats, &local->unbuilt, &prepared);
+  if (fate != SuccessorFate::kBuild) return std::nullopt;
+  State s = BuildTransition(parent, prepared, &local->arena);
   ++stats->created;
   ++stats->transitions_applied;
   if (heur.avf) {
@@ -123,11 +135,8 @@ std::optional<ParallelSearchContext::Admitted> ParallelSearchContext::Admit(
     stats->created += steps;
     stats->discarded += steps;
   }
-  if (internal::StateViolatesStopConditions(s, heur, stop_var_active_,
-                                            stop_tt_active_)) {
-    ++stats->discarded;
-    return std::nullopt;
-  }
+  RDFVIEWS_DCHECK(
+      !internal::StateViolatesStopConditions(s, stop_conditions_));
   switch (seen.AdmitAtPhase(s.fingerprint(), phase)) {
     case ConcurrentSeenSet::Outcome::kRejected:
       ++stats->duplicates;
@@ -151,27 +160,6 @@ std::optional<ParallelSearchContext::Admitted> ParallelSearchContext::Admit(
   return Admitted{std::move(s), c};
 }
 
-std::optional<ParallelSearchContext::Admitted>
-ParallelSearchContext::AdmitSuccessor(const State& parent, const Transition& t,
-                                      int phase, WorkerLocal* local) {
-  // Exact for the reason the serial KnownDuplicate is; a stale "not seen"
-  // answer only falls back to the full path.
-  auto rejects = [this, phase](const StateFingerprint& fp) {
-    const bool unclosed = unclosed_s0_.has_value() && fp == *unclosed_s0_;
-    return !unclosed && seen.Rejects(fp, phase);
-  };
-  PreparedTransition prepared;
-  if (!local->outcomes.Prepare(parent, t, rejects, &prepared)) {
-    // What Admit adds for a duplicate.
-    ++local->stats.created;
-    ++local->stats.transitions_applied;
-    ++local->stats.duplicates;
-    ++local->skipped;
-    return std::nullopt;
-  }
-  return Admit(BuildTransition(parent, prepared, &local->arena), phase, local);
-}
-
 void ParallelSearchContext::MergeWorker(const WorkerLocal& local) {
   std::lock_guard<std::mutex> lock(stats_mu_);
   totals_.created += local.stats.created;
@@ -179,13 +167,14 @@ void ParallelSearchContext::MergeWorker(const WorkerLocal& local) {
   totals_.discarded += local.stats.discarded;
   totals_.explored += local.stats.explored;
   totals_.transitions_applied += local.stats.transitions_applied;
-  skipped_ += local.skipped;
+  unbuilt_.duplicates += local.unbuilt.duplicates;
+  unbuilt_.discarded += local.unbuilt.discarded;
   outcome_hits_ += local.outcomes.hits();
   outcome_misses_ += local.outcomes.misses();
 }
 
 SearchResult ParallelSearchContext::Finish(bool completed) {
-  internal::AddStepCounters(skipped_, outcome_hits_, outcome_misses_);
+  internal::AddStepCounters(unbuilt_, outcome_hits_, outcome_misses_);
   SearchStats stats = totals_;
   stats.time_exhausted = time_exhausted_.load(std::memory_order_relaxed);
   stats.memory_exhausted = memory_exhausted_.load(std::memory_order_relaxed);

@@ -19,6 +19,7 @@
 #include "vsel/cost_model.h"
 #include "vsel/options.h"
 #include "vsel/parallel/concurrent_seen.h"
+#include "vsel/search_internal.h"
 #include "vsel/state.h"
 #include "vsel/transitions.h"
 
@@ -66,11 +67,11 @@ class BestTracker {
 /// transition-outcome table.
 struct WorkerLocal {
   SearchStats stats;
-  /// Successors skipped as known duplicates (see AdmitSuccessor).
-  uint64_t skipped = 0;
+  /// Successors counted without being built (see AdmitSuccessor).
+  internal::UnbuiltCounts unbuilt;
   /// Never shared across workers; its blocks outlive it via refcounts.
   Arena arena;
-  /// This worker's transition outcomes (AdmitSuccessor and Admit's AVF
+  /// This worker's transition outcomes (AdmitSuccessor and its AVF
   /// closure prepare through it).
   TransitionOutcomeTable outcomes;
 };
@@ -103,16 +104,13 @@ class ParallelSearchContext {
     double cost;
   };
 
-  /// The serial Admit against the shared structures: AVF closure, stop
-  /// conditions, concurrent duplicate detection with stratum re-opening,
-  /// and best tracking. Counters and closure states go to the calling
-  /// worker's `local`.
-  std::optional<Admitted> Admit(State s, int phase, WorkerLocal* local);
-
-  /// The serial AdmitSuccessor, prepared through the worker's outcome
-  /// table: a successor whose fingerprint the seen-set already rejects at
-  /// `phase` is counted as a duplicate without being built; every other
-  /// successor is built and handed to Admit.
+  /// The serial AdmitSuccessor against the shared structures, prepared
+  /// through the worker's outcome table: a successor that violates a stop
+  /// condition, or whose fingerprint the seen-set already rejects at
+  /// `phase`, is counted but never built; every other successor is built,
+  /// AVF-closed, checked against the seen-set (with stratum re-opening)
+  /// and offered to the best tracker. Counters and closure states go to
+  /// the calling worker's `local`.
   std::optional<Admitted> AdmitSuccessor(const State& parent,
                                          const Transition& t, int phase,
                                          WorkerLocal* local);
@@ -135,8 +133,7 @@ class ParallelSearchContext {
   State start;
 
  private:
-  bool stop_var_active_ = true;
-  bool stop_tt_active_ = true;
+  internal::StopConditions stop_conditions_;
   /// S0's fingerprint when Init fused S0 (see the serial context).
   std::optional<StateFingerprint> unclosed_s0_;
   std::atomic<bool> stop_{false};
@@ -145,8 +142,8 @@ class ParallelSearchContext {
   std::atomic<bool> cancelled_{false};
   std::mutex stats_mu_;
   SearchStats totals_;  // Init traffic + merged worker counters
-  // Merged worker skip counts and transition-outcome hits and misses.
-  uint64_t skipped_ = 0;
+  // Merged worker unbuilt counts and transition-outcome hits and misses.
+  internal::UnbuiltCounts unbuilt_;
   uint64_t outcome_hits_ = 0;
   uint64_t outcome_misses_ = 0;
 };

@@ -17,18 +17,48 @@ namespace internal {
 
 const int kNumPhases = 4;  // VB, SC, JC, VF
 
-void AddStepCounters(uint64_t skipped, uint64_t outcome_hits,
+void AddStepCounters(const UnbuiltCounts& unbuilt, uint64_t outcome_hits,
                      uint64_t outcome_misses) {
   telemetry::MetricsRegistry* registry = telemetry::MetricsRegistry::Default();
   static telemetry::Counter* const skipped_total =
       registry->GetCounter("vsel_successors_skipped_total");
+  static telemetry::Counter* const discarded_unbuilt_total =
+      registry->GetCounter("vsel_successors_discarded_unbuilt_total");
   static telemetry::Counter* const hits_total =
       registry->GetCounter("vsel_transition_outcome_hits_total");
   static telemetry::Counter* const misses_total =
       registry->GetCounter("vsel_transition_outcome_misses_total");
-  skipped_total->Add(skipped);
+  skipped_total->Add(unbuilt.duplicates);
+  discarded_unbuilt_total->Add(unbuilt.discarded);
   hits_total->Add(outcome_hits);
   misses_total->Add(outcome_misses);
+}
+
+size_t AvfFusions(const State& parent, const Transition& t, const View& first,
+                  const View* second) {
+  const ViewList& views = parent.views();
+  auto kept_view_has = [&](const std::string& body_key) {
+    for (size_t i = 0; i < views.size(); ++i) {
+      const bool replaced =
+          i == t.view_idx ||
+          (t.kind == TransitionKind::kVF && i == t.view_idx2);
+      if (!replaced && views[i].BodyKey() == body_key) return true;
+    }
+    return false;
+  };
+  size_t fusions = kept_view_has(first.BodyKey()) ? 1 : 0;
+  if (second != nullptr && (second->BodyKey() == first.BodyKey() ||
+                            kept_view_has(second->BodyKey()))) {
+    ++fusions;
+  }
+  return fusions;
+}
+
+bool FullPathDiscards(const State& parent, const Transition& t,
+                      const StopConditions& stop, bool avf, size_t fusions) {
+  State s = ApplyTransition(parent, t);
+  const size_t steps = avf ? CloseUnderVf(&s, TransitionOptions{}) : 0;
+  return steps == fusions && StateViolatesStopConditions(s, stop);
 }
 
 SearchContext::SearchContext(const CostModel* cost_model,
@@ -44,13 +74,8 @@ SearchContext::SearchContext(const CostModel* cost_model,
   topts.graph_cache = &cost_model->interner();
 }
 
-bool SearchContext::ViolatesStopConditions(const State& s) const {
-  return StateViolatesStopConditions(s, heur, stop_var_active,
-                                     stop_tt_active);
-}
-
 void SearchContext::Init(const State& s0) {
-  ArmStopConditions(s0, &stop_var_active, &stop_tt_active);
+  stop = ArmStopConditions(s0, heur);
   // Cost S0 before copying it, so a best that stays S0 carries its terms.
   best_cost = cost->StateCost(s0);
   best = s0;
@@ -108,8 +133,31 @@ bool SearchContext::OutOfBudget() {
   return false;
 }
 
-std::optional<SearchContext::Admitted> SearchContext::Admit(State s,
-                                                            int phase) {
+// Why skipping is exact: every fingerprint in `seen` except an unclosed
+// S0's belongs to a state that passed the stop conditions and, with AVF
+// on, is AVF-closed (S0 itself passes them: ArmStopConditions disarms any
+// condition S0 violates). A successor with that fingerprint has the same
+// views, so it fuses nothing, passes the stop conditions and reaches the
+// same `seen` entry, which AdmitSuccessor rejects iff its stratum is <=
+// `phase`.
+bool SearchContext::KnownDuplicate(const StateFingerprint& fp,
+                                   int phase) const {
+  if (unclosed_s0.has_value() && fp == *unclosed_s0) return false;
+  auto it = seen.find(fp);
+  return it != seen.end() && it->second <= phase;
+}
+
+std::optional<SearchContext::Admitted> SearchContext::AdmitSuccessor(
+    const State& parent, const Transition& t, int phase) {
+  PreparedTransition prepared;
+  const SuccessorFate fate = PrepareSuccessor(
+      parent, t, stop, heur.avf,
+      [this, phase](const StateFingerprint& fp) {
+        return KnownDuplicate(fp, phase);
+      },
+      &outcomes, &stats, &unbuilt, &prepared);
+  if (fate != SuccessorFate::kBuild) return std::nullopt;
+  State s = BuildTransition(parent, prepared, &arena);
   ++stats.created;
   ++stats.transitions_applied;
   if (heur.avf) {
@@ -117,10 +165,7 @@ std::optional<SearchContext::Admitted> SearchContext::Admit(State s,
     stats.created += steps;
     stats.discarded += steps;
   }
-  if (ViolatesStopConditions(s)) {
-    ++stats.discarded;
-    return std::nullopt;
-  }
+  RDFVIEWS_DCHECK(!StateViolatesStopConditions(s, stop));
   auto [it, inserted] = seen.try_emplace(s.fingerprint(), phase);
   if (!inserted) {
     ++stats.duplicates;
@@ -137,40 +182,8 @@ std::optional<SearchContext::Admitted> SearchContext::Admit(State s,
   return Admitted{std::move(s), c};
 }
 
-// Why skipping is exact: every fingerprint in `seen` except an unclosed
-// S0's belongs to a state that passed the stop conditions and, with AVF
-// on, is AVF-closed (S0 itself passes them: ArmStopConditions disarms any
-// condition S0 violates). A successor with that fingerprint has the same
-// views, so it fuses nothing, passes the stop conditions and reaches the
-// same `seen` entry, which Admit rejects iff its stratum is <= `phase`.
-bool SearchContext::KnownDuplicate(const StateFingerprint& fp,
-                                   int phase) const {
-  if (unclosed_s0.has_value() && fp == *unclosed_s0) return false;
-  auto it = seen.find(fp);
-  return it != seen.end() && it->second <= phase;
-}
-
-std::optional<SearchContext::Admitted> SearchContext::AdmitSuccessor(
-    const State& parent, const Transition& t, int phase) {
-  PreparedTransition prepared;
-  if (!outcomes.Prepare(
-          parent, t,
-          [this, phase](const StateFingerprint& fp) {
-            return KnownDuplicate(fp, phase);
-          },
-          &prepared)) {
-    // What Admit adds for a duplicate.
-    ++stats.created;
-    ++stats.transitions_applied;
-    ++stats.duplicates;
-    ++skipped;
-    return std::nullopt;
-  }
-  return Admit(BuildTransition(parent, prepared, &arena), phase);
-}
-
 SearchResult SearchContext::Finish(bool completed) {
-  AddStepCounters(skipped, outcomes.hits(), outcomes.misses());
+  AddStepCounters(unbuilt, outcomes.hits(), outcomes.misses());
   stats.completed = completed && !stats.time_exhausted &&
                     !stats.memory_exhausted && !stats.cancelled;
   stats.elapsed_sec = deadline.ElapsedSeconds();

@@ -23,14 +23,24 @@ namespace internal {
 
 extern const int kNumPhases;
 
+/// Successors a search counted without building them.
+struct UnbuiltCounts {
+  /// Known duplicates.
+  uint64_t duplicates = 0;
+  /// Successors that violate a stop condition.
+  uint64_t discarded = 0;
+};
+
 /// Adds one search's step counters to the registry. Each search counts
 /// them locally and adds its totals once, when it finishes:
 ///   - vsel_successors_skipped_total: successors recognized as known
 ///     duplicates before they were built;
+///   - vsel_successors_discarded_unbuilt_total: successors discarded by a
+///     stop condition before they were built;
 ///   - vsel_transition_outcome_hits_total / _misses_total: preparations
 ///     its transition-outcome tables answered from a recorded outcome, and
 ///     those that ran PrepareTransition and recorded one.
-void AddStepCounters(uint64_t skipped, uint64_t outcome_hits,
+void AddStepCounters(const UnbuiltCounts& unbuilt, uint64_t outcome_hits,
                      uint64_t outcome_misses);
 
 /// The deterministic better-than order on (cost, fingerprint) pairs used by
@@ -45,41 +55,118 @@ inline bool BetterState(double cost, const StateFingerprint& fp,
          (cost == best_cost && Hash128Less(fp, best_fp));
 }
 
-/// Arms the stop_tt / stop_var conditions: a condition already satisfied by
-/// S0 itself is disabled (Sec. 5.2).
-inline void ArmStopConditions(const State& s0, bool* stop_var_active,
-                              bool* stop_tt_active) {
-  *stop_var_active = true;
-  *stop_tt_active = true;
-  for (const View& v : s0.views()) {
-    if (v.def.NumConstants() == 0) *stop_var_active = false;
-    if (v.def.len() == 1 && v.def.NumConstants() == 0 &&
-        v.def.BodyVars().size() == 3) {
-      *stop_tt_active = false;
-    }
-  }
+/// The stop_var / stop_tt state filters (Sec. 5.2) a search enforces.
+struct StopConditions {
+  /// stop_var: no view may be free of constants.
+  bool var = false;
+  /// stop_tt: no view may be the whole triple table.
+  bool tt = false;
+};
+
+/// True when `v` violates one of the `stop` conditions. Both read only the
+/// view's body, so views with isomorphic bodies agree.
+inline bool ViewViolatesStopConditions(const View& v,
+                                       const StopConditions& stop) {
+  if (v.def.NumConstants() != 0) return false;
+  return stop.var ||
+         (stop.tt && v.def.len() == 1 && v.def.BodyVars().size() == 3);
 }
 
-/// The stop_var / stop_tt state filters (Sec. 5.2), evaluated against the
-/// armed flags computed by ArmStopConditions.
 inline bool StateViolatesStopConditions(const State& s,
-                                        const HeuristicOptions& heur,
-                                        bool stop_var_active,
-                                        bool stop_tt_active) {
-  if (heur.stop_var && stop_var_active) {
-    for (const View& v : s.views()) {
-      if (v.def.NumConstants() == 0) return true;
-    }
-  }
-  if (heur.stop_tt && stop_tt_active) {
-    for (const View& v : s.views()) {
-      if (v.def.len() == 1 && v.def.NumConstants() == 0 &&
-          v.def.BodyVars().size() == 3) {
-        return true;
-      }
-    }
+                                        const StopConditions& stop) {
+  for (const View& v : s.views()) {
+    if (ViewViolatesStopConditions(v, stop)) return true;
   }
   return false;
+}
+
+/// The conditions `heur` turns on, less any that S0 itself violates
+/// (Sec. 5.2), so S0 passes the armed conditions.
+inline StopConditions ArmStopConditions(const State& s0,
+                                        const HeuristicOptions& heur) {
+  StopConditions stop{.var = heur.stop_var, .tt = heur.stop_tt};
+  for (const View& v : s0.views()) {
+    if (ViewViolatesStopConditions(v, {.var = true})) stop.var = false;
+    if (ViewViolatesStopConditions(v, {.tt = true})) stop.tt = false;
+  }
+  return stop;
+}
+
+/// The fusions AVF would apply to the successor of `parent` under `t`
+/// whose new views are `first` and `second` (null when there is one): the
+/// successor's view count minus its number of distinct BodyKeys. `parent`
+/// must be AVF-closed, so its BodyKeys are distinct and each new view
+/// fuses once iff its BodyKey is that of a view the transition keeps or of
+/// the other new view.
+size_t AvfFusions(const State& parent, const Transition& t, const View& first,
+                  const View* second);
+
+/// The full path of a successor PrepareSuccessor discards, for debug
+/// checks: true when the successor, prepared and built without an outcome
+/// table or an arena and AVF-closed when `avf` is on, violates `stop`
+/// after exactly `fusions` fusions.
+bool FullPathDiscards(const State& parent, const Transition& t,
+                      const StopConditions& stop, bool avf, size_t fusions);
+
+/// The first half of both engines' AdmitSuccessor. Prepares the successor
+/// of `parent` under `t` through `outcomes` and decides its fate from its
+/// fingerprint and new views, before building it:
+///   - kDiscard when a new view violates `stop`. It is counted into
+///     `*stats` exactly as Admit counts the built successor: created
+///     1 + k, transitions_applied 1 and discarded k + 1, where k is the
+///     number of fusions its AVF closure would apply (0 with AVF off).
+///   - kDuplicate when `known_duplicate(fp)` holds for its fingerprint fp.
+///     It is counted as Admit counts a duplicate.
+///   - kBuild otherwise, with `*prepared` fully prepared.
+/// Unbuilt successors are also counted into `*unbuilt`.
+///
+/// Why a discard is exact: every parent a strategy expands passes the
+/// armed conditions (S0 by ArmStopConditions, every other parent because
+/// it was admitted) and, with AVF on, is AVF-closed. Both conditions read
+/// only view bodies, and AVF fuses only views with isomorphic bodies, so
+/// the built and closed successor violates them iff one of its new views
+/// does. A violating successor can never be a known duplicate: every state
+/// `known_duplicate` accepts passed the conditions.
+template <typename KnownDuplicate>
+SuccessorFate PrepareSuccessor(const State& parent, const Transition& t,
+                               const StopConditions& stop, bool avf,
+                               KnownDuplicate&& known_duplicate,
+                               TransitionOutcomeTable* outcomes,
+                               SearchStats* stats, UnbuiltCounts* unbuilt,
+                               PreparedTransition* prepared) {
+  RDFVIEWS_DCHECK(!StateViolatesStopConditions(parent, stop));
+  size_t fusions = 0;
+  const SuccessorFate fate = outcomes->Prepare(
+      parent, t,
+      [&](const StateFingerprint& fp, const ViewPtr& first,
+          const ViewPtr& second) {
+        if (ViewViolatesStopConditions(*first, stop) ||
+            (second != nullptr && ViewViolatesStopConditions(*second, stop))) {
+          if (avf) fusions = AvfFusions(parent, t, *first, second.get());
+          return SuccessorFate::kDiscard;
+        }
+        return known_duplicate(fp) ? SuccessorFate::kDuplicate
+                                   : SuccessorFate::kBuild;
+      },
+      prepared);
+  switch (fate) {
+    case SuccessorFate::kBuild:
+      break;
+    case SuccessorFate::kDuplicate:
+      ++stats->created;
+      ++stats->transitions_applied;
+      ++stats->duplicates;
+      ++unbuilt->duplicates;
+      break;
+    case SuccessorFate::kDiscard:
+      RDFVIEWS_DCHECK(FullPathDiscards(parent, t, stop, avf, fusions));
+      stats->created += 1 + fusions;
+      ++stats->transitions_applied;
+      stats->discarded += fusions + 1;
+      ++unbuilt->discarded;
+      break;
+  }
+  return fate;
 }
 
 /// Bookkeeping shared by all strategies: duplicate detection (by the
@@ -107,23 +194,19 @@ class SearchContext {
     double cost;
   };
 
-  /// Processes a freshly produced state: applies AVF closure, stop
-  /// conditions and duplicate detection, and tracks the best state.
-  /// `phase` is the stratum (transition kind) that produced the state.
-  std::optional<Admitted> Admit(State s, int phase);
-
-  /// Processes the successor of `parent` under `t`, prepared through
-  /// `outcomes`. A known duplicate (see KnownDuplicate) is counted exactly
-  /// as Admit would count it but never built; every other successor is
-  /// built and handed to Admit.
+  /// Processes the successor of `parent` under `t`. PrepareSuccessor
+  /// decides its fate before it is built: a successor that violates a stop
+  /// condition, or a known duplicate (see KnownDuplicate), is counted but
+  /// never built. Every other successor is built, AVF-closed when avf is
+  /// on, checked for duplicates (with stratum re-opening) and costed, and
+  /// the best state is tracked. `phase` is the stratum (transition kind)
+  /// that produced it.
   std::optional<Admitted> AdmitSuccessor(const State& parent,
                                          const Transition& t, int phase);
 
-  /// True when Admit would reject a successor with fingerprint `fp` at
-  /// `phase` as a duplicate, whatever its AVF closure.
+  /// True when a successor with fingerprint `fp` at `phase` is a
+  /// duplicate, whatever its AVF closure.
   bool KnownDuplicate(const StateFingerprint& fp, int phase) const;
-
-  bool ViolatesStopConditions(const State& s) const;
 
   SearchResult Finish(bool completed);
 
@@ -144,10 +227,10 @@ class SearchContext {
   /// S0's fingerprint when Init fused S0: it is in `seen`, but S0 is not
   /// AVF-closed, so it never proves a successor a duplicate.
   std::optional<StateFingerprint> unclosed_s0;
-  /// Successors KnownDuplicate skipped; Finish reports them.
-  uint64_t skipped = 0;
-  /// This search's transition outcomes (AdmitSuccessor and Admit's AVF
-  /// closure prepare through it); Finish reports its hits and misses.
+  /// Successors counted without being built; Finish reports them.
+  UnbuiltCounts unbuilt;
+  /// This search's transition outcomes (AdmitSuccessor and its AVF closure
+  /// prepare through it); Finish reports its hits and misses.
   TransitionOutcomeTable outcomes;
   State best;
   /// The state the strategies explore from: S0, or its AVF closure when
@@ -155,8 +238,8 @@ class SearchContext {
   /// fused state dominates S0 and shrinks the space).
   State start;
   double best_cost = 0;
-  bool stop_var_active = true;
-  bool stop_tt_active = true;
+  /// The armed stop conditions.
+  StopConditions stop;
 };
 
 }  // namespace internal

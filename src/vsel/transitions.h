@@ -145,9 +145,10 @@ class TransitionBufferPool {
 
 /// A successor that is prepared but not built: its new views and its
 /// fingerprint, computed from the parent alone. A search checks the
-/// fingerprint against the states it has seen and skips a known duplicate
-/// before paying for the copy of the parent, the rewriting substitution
-/// and the AVF closure.
+/// fingerprint against the states it has seen, and the new views against
+/// its stop conditions, and skips a known duplicate or a violating
+/// successor before paying for the copy of the parent, the rewriting
+/// substitution and the AVF closure.
 struct PreparedTransition {
   Transition t;
   /// Replaces the view at t.view_idx.
@@ -235,17 +236,28 @@ struct TransitionOutcome {
   std::vector<uint32_t> vf_head;
 };
 
+/// What a search does with a prepared successor, decided before it is
+/// built.
+enum class SuccessorFate : uint8_t {
+  /// Build it and admit it.
+  kBuild,
+  /// A known duplicate: counted, never built.
+  kDuplicate,
+  /// It violates a stop condition: counted, never built.
+  kDiscard,
+};
+
 /// A per-search memo of transition outcomes. A search applies the same
 /// transition to the same view, up to variable renaming, in many of the
 /// states it reaches. The first time, the table runs PrepareTransition and
 /// records the outcome. Every later time it predicts the successor's
-/// fingerprint from the parent's, and either stops there (a known
-/// duplicate) or rebuilds the new views from the actual parent exactly as
-/// Prepare builds them: the same variable and view-id counters in the same
-/// order, and VB's shared head sorted by the parent's VarIds. A rebuild
-/// skips cq::Minimize, PrepareVf's two canonicalizations and the identity
-/// cache; cost hashes are computed fresh, because they depend on head and
-/// atom order. Debug builds check every hit against a fresh
+/// fingerprint from the parent's, and either stops there (a successor the
+/// search will not build) or rebuilds the new views from the actual parent
+/// exactly as Prepare builds them: the same variable and view-id counters
+/// in the same order, and VB's shared head sorted by the parent's VarIds.
+/// A rebuild skips cq::Minimize, PrepareVf's two canonicalizations and the
+/// identity cache; cost hashes are computed fresh, because they depend on
+/// head and atom order. Debug builds check every hit against a fresh
 /// PrepareTransition.
 ///
 /// One table serves one search on one thread: the serial SearchContext
@@ -254,18 +266,25 @@ struct TransitionOutcome {
 class TransitionOutcomeTable {
  public:
   /// Prepares the successor of `parent` under `t` into `*out` exactly as
-  /// PrepareTransition does, and returns true, unless `rejects(fp)` holds
-  /// for the successor's fingerprint fp: then it returns false and `*out`
-  /// holds only fp. A known outcome that `rejects` refuses is neither
-  /// prepared nor rebuilt.
-  template <typename Rejects>
-  bool Prepare(const State& parent, const Transition& t, Rejects&& rejects,
-               PreparedTransition* out);
+  /// PrepareTransition does, unless `decide` refuses it, and returns the
+  /// fate `decide(fp, first, second)` chose from the successor's
+  /// fingerprint fp and its new views. On a miss those are the prepared
+  /// views; on a hit they are the first derivation's, which equal the
+  /// rebuilt ones up to variable renaming and view ids. A refused hit is
+  /// never rebuilt, and `*out` then holds only fp.
+  template <typename Decide>
+  SuccessorFate Prepare(const State& parent, const Transition& t,
+                        Decide&& decide, PreparedTransition* out);
 
-  /// Prepare that rejects nothing.
+  /// Prepare that builds every successor.
   void Prepare(const State& parent, const Transition& t,
                PreparedTransition* out) {
-    Prepare(parent, t, [](const StateFingerprint&) { return false; }, out);
+    Prepare(
+        parent, t,
+        [](const StateFingerprint&, const ViewPtr&, const ViewPtr&) {
+          return SuccessorFate::kBuild;
+        },
+        out);
   }
 
   /// Lookups that found a recorded outcome, and those that ran
@@ -291,27 +310,31 @@ class TransitionOutcomeTable {
   uint64_t misses_ = 0;
 };
 
-template <typename Rejects>
-bool TransitionOutcomeTable::Prepare(const State& parent, const Transition& t,
-                                     Rejects&& rejects,
-                                     PreparedTransition* out) {
+template <typename Decide>
+SuccessorFate TransitionOutcomeTable::Prepare(const State& parent,
+                                              const Transition& t,
+                                              Decide&& decide,
+                                              PreparedTransition* out) {
   const TransitionOutcomeKey key = KeyOf(parent, t);
   const auto it = outcomes_.find(key);
   if (it == outcomes_.end()) {
     ++misses_;
     PrepareTransition(parent, t, out);
     Record(key, parent, *out);
-    return !rejects(out->fingerprint);
+    return decide(out->fingerprint, out->first, out->second);
   }
   ++hits_;
+  const TransitionOutcome& outcome = it->second;
   out->fingerprint = parent.fingerprint();
-  out->fingerprint += it->second.delta;
-  if (rejects(out->fingerprint)) {
+  out->fingerprint += outcome.delta;
+  const SuccessorFate fate =
+      decide(out->fingerprint, outcome.first, outcome.second);
+  if (fate != SuccessorFate::kBuild) {
     RDFVIEWS_DCHECK(FreshFingerprint(parent, t) == out->fingerprint);
-    return false;
+    return fate;
   }
-  Rebuild(parent, t, it->second, out);
-  return true;
+  Rebuild(parent, t, outcome, out);
+  return fate;
 }
 
 /// Applies VF to `*state` in place until no two views fuse (the AVF

@@ -8,9 +8,10 @@
 // stop_tt adds nothing while stop_var is armed (a triple-table view has no
 // constant), hence its own rows. The Parallel suite checks that the
 // parallel engine at 2 and 4 threads returns the same best as the serial
-// one; SuccessorSkipTest, that GSTR reports the duplicates it skipped
-// without building them; and TransitionOutcomeCounterTest, that identical
-// runs count the same transition-outcome hits and misses.
+// one; SuccessorSkipTest, that GSTR reports the duplicates it skipped and
+// the stop-condition violations it discarded without building them; and
+// TransitionOutcomeCounterTest, that identical runs count the same
+// transition-outcome hits and misses.
 //
 // On a mismatch the failure message prints the row the run produced, in
 // the table's own syntax.
@@ -348,6 +349,24 @@ TEST_F(SuccessorSkipTest, GstrSkipsKnownDuplicatesBeforeBuildingThem) {
   const uint64_t n = skipped->Value() - before;
   EXPECT_GT(n, 0u);
   EXPECT_LE(n, r.stats.duplicates);
+}
+
+TEST_F(SuccessorSkipTest, GstrDiscardsStopViolationsBeforeBuildingThem) {
+  SetUpWorkload("seed501");
+  telemetry::Counter* discarded =
+      telemetry::MetricsRegistry::Default()->GetCounter(
+          "vsel_successors_discarded_unbuilt_total");
+  for (size_t threads : {size_t{1}, size_t{2}}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    uint64_t before = discarded->Value();
+    SearchResult r = Run(kGstr, /*avf=*/true, threads, kStopVar);
+    const uint64_t n = discarded->Value() - before;
+    EXPECT_GT(n, 0u);
+    EXPECT_LE(n, r.stats.discarded);
+    before = discarded->Value();
+    Run(kGstr, /*avf=*/true, threads, kNoStop);
+    EXPECT_EQ(discarded->Value(), before);
+  }
 }
 
 using TransitionOutcomeCounterTest = AccountingFixture;

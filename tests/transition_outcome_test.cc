@@ -81,7 +81,7 @@ void ExpectSamePrepared(const PreparedTransition& got,
 }
 
 /// Records `ta` on `a`, then prepares `tb` on `b` through the same table:
-/// once rejected as a known duplicate (only the fingerprint is predicted)
+/// once refused as a known duplicate (only the fingerprint is predicted)
 /// and once rebuilt. Both must match PrepareTransition on `b`. Returns the
 /// first preparation so callers can check that the two parents really
 /// number the outcome differently.
@@ -98,15 +98,34 @@ PreparedTransition ExpectRebuildMatchesPrepare(const State& a,
   PreparedTransition want;
   PrepareTransition(b, tb, &want);
 
+  // A hit decides from the first derivation's views.
+  auto recorded_views = [&recorded](const ViewPtr& first,
+                                    const ViewPtr& second) {
+    return first == recorded.first && second == recorded.second;
+  };
   PreparedTransition skipped;
-  EXPECT_FALSE(table.Prepare(
-      b, tb, [](const StateFingerprint&) { return true; }, &skipped));
+  EXPECT_EQ(table.Prepare(
+                b, tb,
+                [&](const StateFingerprint&, const ViewPtr& first,
+                    const ViewPtr& second) {
+                  EXPECT_TRUE(recorded_views(first, second));
+                  return SuccessorFate::kDuplicate;
+                },
+                &skipped),
+            SuccessorFate::kDuplicate);
   EXPECT_EQ(skipped.fingerprint, want.fingerprint);
   EXPECT_EQ(skipped.first, nullptr);
 
   PreparedTransition rebuilt;
-  EXPECT_TRUE(table.Prepare(
-      b, tb, [](const StateFingerprint&) { return false; }, &rebuilt));
+  EXPECT_EQ(table.Prepare(
+                b, tb,
+                [&](const StateFingerprint&, const ViewPtr& first,
+                    const ViewPtr& second) {
+                  EXPECT_TRUE(recorded_views(first, second));
+                  return SuccessorFate::kBuild;
+                },
+                &rebuilt),
+            SuccessorFate::kBuild);
   EXPECT_EQ(table.misses(), 1u);
   EXPECT_EQ(table.hits(), 2u);
   ExpectSamePrepared(rebuilt, want);
