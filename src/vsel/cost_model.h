@@ -190,9 +190,9 @@ class CostModel {
     double cpu = 0;  // accumulated cpu cost of the subtree
     /// Estimated distinct values per output column. A join divides by its
     /// natural keys in this map's iteration order, which fixes the
-    /// estimate's last bits: that order follows from the insertion order
-    /// and the bucket count, so every node fills a fresh map (a cleared
-    /// one keeps its bucket count) with std::hash, as always.
+    /// estimate's last bits. That order follows from the hash, the
+    /// insertion order and the bucket count, so every node fills a fresh
+    /// map (a cleared one keeps its bucket count).
     std::pmr::unordered_map<cq::VarId, double> distinct;
   };
 

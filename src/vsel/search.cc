@@ -133,20 +133,6 @@ bool SearchContext::OutOfBudget() {
   return false;
 }
 
-// Why skipping is exact: every fingerprint in `seen` except an unclosed
-// S0's belongs to a state that passed the stop conditions and, with AVF
-// on, is AVF-closed (S0 itself passes them: ArmStopConditions disarms any
-// condition S0 violates). A successor with that fingerprint has the same
-// views, so it fuses nothing, passes the stop conditions and reaches the
-// same `seen` entry, which AdmitSuccessor rejects iff its stratum is <=
-// `phase`.
-bool SearchContext::KnownDuplicate(const StateFingerprint& fp,
-                                   int phase) const {
-  if (unclosed_s0.has_value() && fp == *unclosed_s0) return false;
-  auto it = seen.find(fp);
-  return it != seen.end() && it->second <= phase;
-}
-
 std::optional<SearchContext::Admitted> SearchContext::AdmitSuccessor(
     const State& parent, const Transition& t, int phase) {
   PreparedTransition prepared;
@@ -180,6 +166,20 @@ std::optional<SearchContext::Admitted> SearchContext::AdmitSuccessor(
     NotifyBest(c);
   }
   return Admitted{std::move(s), c};
+}
+
+// Why skipping is exact: every fingerprint in `seen` except an unclosed
+// S0's belongs to a state that passed the stop conditions and, with AVF
+// on, is AVF-closed (S0 itself passes them: ArmStopConditions disarms any
+// condition S0 violates). A successor with that fingerprint has the same
+// views, so it fuses nothing, passes the stop conditions and reaches the
+// same `seen` entry, which AdmitSuccessor rejects iff its stratum is <=
+// `phase`.
+bool SearchContext::KnownDuplicate(const StateFingerprint& fp,
+                                   int phase) const {
+  if (unclosed_s0.has_value() && fp == *unclosed_s0) return false;
+  auto it = seen.find(fp);
+  return it != seen.end() && it->second <= phase;
 }
 
 SearchResult SearchContext::Finish(bool completed) {

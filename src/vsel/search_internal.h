@@ -112,11 +112,12 @@ bool FullPathDiscards(const State& parent, const Transition& t,
 /// of `parent` under `t` through `outcomes` and decides its fate from its
 /// fingerprint and new views, before building it:
 ///   - kDiscard when a new view violates `stop`. It is counted into
-///     `*stats` exactly as Admit counts the built successor: created
-///     1 + k, transitions_applied 1 and discarded k + 1, where k is the
-///     number of fusions its AVF closure would apply (0 with AVF off).
+///     `*stats` exactly as building, AVF-closing and then discarding it
+///     would count it: created 1 + k, transitions_applied 1 and discarded
+///     k + 1, where k is the number of fusions its AVF closure would apply
+///     (0 with AVF off).
 ///   - kDuplicate when `known_duplicate(fp)` holds for its fingerprint fp.
-///     It is counted as Admit counts a duplicate.
+///     It is counted as a built successor found in the seen set is.
 ///   - kBuild otherwise, with `*prepared` fully prepared.
 /// Unbuilt successors are also counted into `*unbuilt`.
 ///

@@ -235,8 +235,8 @@ TEST(ParallelFrontierMetricsTest, StarvingFlipsWhileWorkerWaits) {
 
 // ---- DFS donation path ---------------------------------------------------
 
-/// Distinct view-set states admitted by a run: every Admit() that was not
-/// rejected as a duplicate or discarded by a stop condition.
+/// Distinct view-set states admitted by a run: every successor that was
+/// not rejected as a duplicate or discarded by a stop condition.
 size_t DistinctStates(const SearchResult& r) {
   return r.stats.created - r.stats.duplicates - r.stats.discarded;
 }
