@@ -313,7 +313,7 @@ Result<std::vector<cq::VarId>> ValidateExprSchema(const engine::Expr& e) {
 /// blob against corruption.
 std::string SealBlob(ByteWriter w) {
   const std::string& body = w.bytes();
-  Hash128 sum = HashBytes128(body.data(), body.size());
+  Hash128 sum = ChecksumBytes128(body.data(), body.size());
   w.U64(sum.lo);
   w.U64(sum.hi);
   return w.TakeBytes();
@@ -344,7 +344,7 @@ Result<ByteReader> OpenBlob(std::string_view bytes, uint32_t magic,
         " (this build reads " + std::to_string(kFormatVersion) + ")");
   }
   Hash128 sum =
-      HashBytes128(bytes.data(), bytes.size() - 2 * sizeof(uint64_t));
+      ChecksumBytes128(bytes.data(), bytes.size() - 2 * sizeof(uint64_t));
   ByteReader tail(bytes.substr(bytes.size() - 2 * sizeof(uint64_t)));
   Hash128 stored{tail.U64(), tail.U64()};
   if (stored != sum) {
@@ -654,7 +654,11 @@ Result<State> DeserializeState(ByteReader* r) {
   return s;
 }
 
-void SerializeStats(const SearchStats& stats, ByteWriter* w) {
+namespace {
+
+/// SerializeStats; `canonical` writes an empty best_trace and a zero
+/// elapsed_sec in place of the wall-clock-dependent fields.
+void WriteStats(const SearchStats& stats, bool canonical, ByteWriter* w) {
   w->U64(stats.created);
   w->U64(stats.duplicates);
   w->U64(stats.discarded);
@@ -662,10 +666,14 @@ void SerializeStats(const SearchStats& stats, ByteWriter* w) {
   w->U64(stats.transitions_applied);
   w->F64(stats.initial_cost);
   w->F64(stats.best_cost);
-  w->U64(stats.best_trace.size());
-  for (const auto& [t, cost] : stats.best_trace) {
-    w->F64(t);
-    w->F64(cost);
+  if (canonical) {
+    w->U64(0);
+  } else {
+    w->U64(stats.best_trace.size());
+    for (const auto& [t, cost] : stats.best_trace) {
+      w->F64(t);
+      w->F64(cost);
+    }
   }
   uint8_t flags = 0;
   if (stats.completed) flags |= 1;
@@ -673,7 +681,13 @@ void SerializeStats(const SearchStats& stats, ByteWriter* w) {
   if (stats.time_exhausted) flags |= 4;
   if (stats.cancelled) flags |= 8;
   w->U8(flags);
-  w->F64(stats.elapsed_sec);
+  w->F64(canonical ? 0.0 : stats.elapsed_sec);
+}
+
+}  // namespace
+
+void SerializeStats(const SearchStats& stats, ByteWriter* w) {
+  WriteStats(stats, /*canonical=*/false, w);
 }
 
 Result<SearchStats> DeserializeStats(ByteReader* r) {
@@ -755,8 +769,11 @@ Result<std::string> PeekPartitionOutcomeKey(std::string_view bytes) {
   return key;
 }
 
-std::string SerializeRecommendation(const Recommendation& rec,
-                                    const CacheIdentity& identity) {
+namespace {
+
+std::string WriteRecommendation(const Recommendation& rec,
+                                const CacheIdentity& identity,
+                                bool canonical) {
   ByteWriter w;
   WriteBlobHeader(kRecommendationMagic, identity, &w);
   w.U8(static_cast<uint8_t>(rec.entailment));
@@ -770,8 +787,15 @@ std::string SerializeRecommendation(const Recommendation& rec,
   w.U64(rec.rewritings.size());
   for (const engine::ExprPtr& e : rec.rewritings) SerializeExpr(e, &w);
   SerializeState(rec.best_state, &w);
-  SerializeStats(rec.stats, &w);
+  WriteStats(rec.stats, canonical, &w);
   return SealBlob(std::move(w));
+}
+
+}  // namespace
+
+std::string SerializeRecommendation(const Recommendation& rec,
+                                    const CacheIdentity& identity) {
+  return WriteRecommendation(rec, identity, /*canonical=*/false);
 }
 
 Result<Recommendation> DeserializeRecommendation(
@@ -862,11 +886,7 @@ Result<Recommendation> DeserializeRecommendation(
 
 std::string SerializeRecommendationCanonical(const Recommendation& rec,
                                              const CacheIdentity& identity) {
-  // Cheap shallow copy: states, views and rewritings are shared pointers.
-  Recommendation canonical = rec;
-  canonical.stats.elapsed_sec = 0;
-  canonical.stats.best_trace.clear();
-  return SerializeRecommendation(canonical, identity);
+  return WriteRecommendation(rec, identity, /*canonical=*/true);
 }
 
 void SerializeTuningConfig(const TuningConfig& o, ByteWriter* w) {

@@ -55,8 +55,9 @@ namespace rdfviews::vsel::serialize {
 
 /// Current format version of every top-level blob (partition outcomes and
 /// recommendations). Bump on any encoding change; readers reject other
-/// versions.
-inline constexpr uint32_t kFormatVersion = 1;
+/// versions. Version 2 seals blobs with ChecksumBytes128 (version 1 used
+/// HashBytes128).
+inline constexpr uint32_t kFormatVersion = 2;
 
 /// The identity a persisted search outcome is only valid under.
 struct CacheIdentity {

@@ -4,9 +4,11 @@
 #include <chrono>
 #include <cmath>
 #include <cstddef>
+#include <exception>
 #include <iterator>
 #include <memory>
 #include <optional>
+#include <string>
 #include <string_view>
 #include <unordered_set>
 #include <utility>
@@ -22,12 +24,24 @@ namespace rdfviews::vsel {
 
 TuningHandle::~TuningHandle() {
   Cancel();
-  Join();
+  Body never_ran;
+  {
+    std::lock_guard<std::mutex> lock(run_mu_);
+    never_ran = std::move(deferred_);
+  }
+  if (never_ran) never_ran(/*run=*/false);
+  std::lock_guard<std::mutex> lock(run_mu_);
+  if (worker_.joinable()) worker_.join();
 }
 
-void TuningHandle::Join() {
-  std::lock_guard<std::mutex> lock(join_mu_);
-  if (worker_.joinable()) worker_.join();
+void TuningHandle::WaitDone() {
+  {
+    std::lock_guard<std::mutex> lock(run_mu_);
+    if (worker_.joinable()) worker_.join();
+  }
+  std::unique_lock<std::mutex> lock(shared_->mu);
+  shared_->finished.wait(
+      lock, [this] { return shared_->done.load(std::memory_order_acquire); });
 }
 
 bool TuningHandle::Poll() const {
@@ -45,9 +59,36 @@ TuningProgress TuningHandle::Current() const {
 void TuningHandle::Cancel() { shared_->stop.RequestStop(); }
 
 Result<Recommendation> TuningHandle::Wait() {
-  Join();
+  WaitDone();
   std::lock_guard<std::mutex> lock(shared_->mu);
   return shared_->result;
+}
+
+Status TuningHandle::WaitStatus() {
+  WaitDone();
+  std::lock_guard<std::mutex> lock(shared_->mu);
+  return shared_->status;
+}
+
+Result<Recommendation> TuningHandle::TakeResult() {
+  WaitDone();
+  std::lock_guard<std::mutex> lock(shared_->mu);
+  Result<Recommendation> out = std::move(shared_->result);
+  shared_->result =
+      shared_->status.ok()
+          ? Status::NotFound("TuningHandle: the recommendation was taken")
+          : shared_->status;
+  return out;
+}
+
+Status TuningHandle::Run() {
+  Body body;
+  {
+    std::lock_guard<std::mutex> lock(run_mu_);
+    body = std::move(deferred_);
+  }
+  if (body) body(/*run=*/true);
+  return WaitStatus();
 }
 
 // ---- TuningSession ---------------------------------------------------------
@@ -136,17 +177,31 @@ Result<Recommendation> TuningSession::Update(
 std::shared_ptr<TuningHandle> TuningSession::UpdateAsync(
     std::vector<cq::ConjunctiveQuery> add_queries,
     std::vector<std::string> remove_queries) {
+  return StartUpdate(std::move(add_queries), std::move(remove_queries),
+                     /*deferred=*/false);
+}
+
+std::shared_ptr<TuningHandle> TuningSession::UpdateDeferred(
+    std::vector<cq::ConjunctiveQuery> add_queries,
+    std::vector<std::string> remove_queries) {
+  return StartUpdate(std::move(add_queries), std::move(remove_queries),
+                     /*deferred=*/true);
+}
+
+std::shared_ptr<TuningHandle> TuningSession::StartUpdate(
+    std::vector<cq::ConjunctiveQuery> add_queries,
+    std::vector<std::string> remove_queries, bool deferred) {
   // Private constructor: not make_shared-able.
   std::shared_ptr<TuningHandle> handle(new TuningHandle());
   std::shared_ptr<TuningHandle::Shared> shared = handle->shared_;
   if (busy_.exchange(true)) {
     std::lock_guard<std::mutex> lock(shared->mu);
-    shared->result = Status::InvalidArgument(
+    shared->status = Status::InvalidArgument(
         "TuningSession: an update is already in flight");
+    shared->result = shared->status;
     shared->done.store(true, std::memory_order_release);
     return handle;
   }
-  StopToken token = shared->stop.token();
   ProgressFn track = [shared](const ProgressEvent& ev) {
     std::lock_guard<std::mutex> lock(shared->mu);
     switch (ev.kind) {
@@ -172,22 +227,44 @@ std::shared_ptr<TuningHandle> TuningSession::UpdateAsync(
         break;
     }
   };
-  // The worker holds only the Shared block (never the handle), so the
+  // The body holds only the Shared block (never the handle), so the
   // handle may be dropped mid-run: its destructor cancels + joins from the
   // destroying thread, and the shared state outlives both. The session
-  // itself must outlive the worker (enforced by the handle's join — every
-  // handle must be destroyed before the session, see the class comment).
-  handle->worker_ = std::thread([this, shared, token, track,
-                                 add = std::move(add_queries),
-                                 remove = std::move(remove_queries)] {
-    Result<Recommendation> rec = DoUpdate(add, remove, &token, track);
+  // itself must outlive the update (enforced by the handle's join — every
+  // handle must be destroyed before the session, see the class comment);
+  // once `done` is set under the shared mutex the body no longer touches
+  // the session, so a waiter may destroy it.
+  TuningHandle::Body body = [this, shared, track,
+                             add = std::move(add_queries),
+                             remove = std::move(remove_queries)](bool run) {
+    Result<Recommendation> rec = Status::Internal(
+        "TuningSession: the deferred update was dropped before it ran");
+    if (run) {
+      const StopToken token = shared->stop.token();
+      // A deferred body runs on its caller's thread, which may swallow
+      // exceptions (a daemon handler does): it must still finish the
+      // update, or every waiter would wait forever.
+      try {
+        rec = DoUpdate(add, remove, &token, track);
+      } catch (const std::exception& e) {
+        rec = Status::Internal(std::string("TuningSession: update threw: ") +
+                               e.what());
+      }
+    }
     {
       std::lock_guard<std::mutex> lock(shared->mu);
+      shared->status = rec.status();
       shared->result = std::move(rec);
+      busy_.store(false);
+      shared->done.store(true, std::memory_order_release);
     }
-    busy_.store(false);
-    shared->done.store(true, std::memory_order_release);
-  });
+    shared->finished.notify_all();
+  };
+  if (deferred) {
+    handle->deferred_ = std::move(body);
+  } else {
+    handle->worker_ = std::thread([body = std::move(body)] { body(true); });
+  }
   return handle;
 }
 

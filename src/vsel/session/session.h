@@ -55,11 +55,16 @@
 // UpdateAsync / RecommendAsync run the update on a background thread and
 // return a TuningHandle with Poll / Current / Cancel / Wait — Cancel stops
 // all partitions within a bounded number of state expansions, and Wait
-// then returns the valid current-best recommendation.
+// then returns the valid current-best recommendation. UpdateDeferred
+// returns the same handle without a thread: the update runs when its
+// owner calls TuningHandle::Run, on the owner's thread, while other
+// threads poll, cancel and wait on it as on a background update.
 #ifndef RDFVIEWS_VSEL_SESSION_SESSION_H_
 #define RDFVIEWS_VSEL_SESSION_SESSION_H_
 
 #include <atomic>
+#include <condition_variable>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -111,10 +116,13 @@ struct TuningProgress {
   bool done = false;
 };
 
-/// Handle to one in-flight asynchronous update. Thread-safe. Destroying the
-/// handle cancels the update and joins the worker (always from the
-/// destroying thread — the worker itself only ever holds the handle's
-/// internal shared state, never the handle).
+/// Handle to one in-flight update, running on its own thread (UpdateAsync)
+/// or deferred to its owner's thread (UpdateDeferred + Run). Thread-safe.
+/// Destroying the handle cancels the update and joins the worker (always
+/// from the destroying thread — the worker itself only ever holds the
+/// handle's internal shared state, never the handle); a deferred update
+/// that never ran is finished with an error instead, so the session is
+/// free again.
 class TuningHandle {
  public:
   ~TuningHandle();
@@ -132,28 +140,52 @@ class TuningHandle {
   /// bounded number of state expansions and returns its current best.
   void Cancel();
 
-  /// Blocks until the update finishes and returns its recommendation (the
-  /// valid current-best one after a Cancel). May be called repeatedly.
+  /// Blocks until the update finishes and returns a copy of its
+  /// recommendation (the valid current-best one after a Cancel). May be
+  /// called repeatedly, until TakeResult moves the recommendation out.
   Result<Recommendation> Wait();
+
+  /// Blocks like Wait() but returns only the update's status, without
+  /// copying the recommendation.
+  Status WaitStatus();
+
+  /// Blocks like Wait() and moves the recommendation out instead of
+  /// copying it. Later Wait / TakeResult calls return NotFound (or the
+  /// update's error, which stays).
+  Result<Recommendation> TakeResult();
+
+  /// Runs a deferred update on the calling thread and returns its status
+  /// once it finished; meanwhile other threads Poll, Cancel and Wait on it
+  /// as on a background update. On any other handle (its update runs on
+  /// its own thread, or already ran) Run is WaitStatus.
+  Status Run();
 
  private:
   friend class TuningSession;
-  /// Everything the worker thread touches; kept alive by the worker's own
+  /// Everything the update touches; kept alive by the worker's own
   /// shared_ptr, so dropping the handle mid-run is safe.
   struct Shared {
     StopSource stop;
     std::atomic<bool> done{false};
-    mutable std::mutex mu;  // guards progress and result
+    mutable std::mutex mu;  // guards progress, status and result
+    std::condition_variable finished;  // notified once `done` is set
     TuningProgress progress;
+    Status status = Status::Internal("update still running");
     Result<Recommendation> result = Status::Internal("update still running");
   };
+  /// The update: with `run` it runs it; without (a deferred update dropped
+  /// before it ran) it records an error. Either way it publishes the
+  /// result, frees the session for the next update and sets `done`.
+  using Body = std::function<void(bool run)>;
 
   TuningHandle() : shared_(std::make_shared<Shared>()) {}
-  void Join();
+  /// Blocks until `done`, joining the worker thread if there is one.
+  void WaitDone();
 
   std::shared_ptr<Shared> shared_;
-  std::mutex join_mu_;  // serializes Wait() / destructor joins
+  std::mutex run_mu_;  // guards worker_ joins and deferred_
   std::thread worker_;
+  Body deferred_;  // set until Run (or the destructor) takes it
 };
 
 /// A long-lived view-selection session over one (store, dictionary, schema,
@@ -223,6 +255,14 @@ class TuningSession {
     return UpdateAsync({}, {});
   }
 
+  /// UpdateAsync without the thread: the session counts the update as in
+  /// flight from now on, and it runs when the caller calls the handle's
+  /// Run(), on the caller's thread. For a caller that would only block in
+  /// Wait() anyway, while other threads poll or cancel the same handle.
+  std::shared_ptr<TuningHandle> UpdateDeferred(
+      std::vector<cq::ConjunctiveQuery> add_queries,
+      std::vector<std::string> remove_queries = {});
+
   /// The current workload, in order (adds append, removals compact).
   const std::vector<cq::ConjunctiveQuery>& workload() const {
     return workload_;
@@ -253,6 +293,10 @@ class TuningSession {
   SessionTelemetry TelemetrySnapshot() const;
 
  private:
+  /// The handle of UpdateAsync (`deferred` false) or UpdateDeferred.
+  std::shared_ptr<TuningHandle> StartUpdate(
+      std::vector<cq::ConjunctiveQuery> add_queries,
+      std::vector<std::string> remove_queries, bool deferred);
   Result<Recommendation> DoUpdate(
       const std::vector<cq::ConjunctiveQuery>& add_queries,
       const std::vector<std::string>& remove_queries,

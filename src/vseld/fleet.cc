@@ -474,44 +474,92 @@ Result<vsel::SearchResult> FleetExecutor::ExecuteAttempt(
 
 namespace {
 
-/// Periodic kWorkerHeartbeat writer for one in-flight unit. Shares the
-/// worker's write mutex with the result write, so frames never interleave.
-class HeartbeatThread {
+/// The worker's one kWorkerHeartbeat writer: a single thread per
+/// connection that beats every interval while a unit is in flight (Begin
+/// to End) and sleeps while the worker is idle. Shares the worker's write
+/// mutex with the result write, so frames never interleave, and End
+/// returns only after any beat in progress, so no beat for a unit follows
+/// its result.
+class Heartbeat {
  public:
-  HeartbeatThread(FrameTransport* transport, std::mutex* write_mu,
-                  uint64_t unit_id, const std::string& client_id,
-                  double interval_sec)
-      : stop_(false) {
-    thread_ = std::thread([=, this] {
-      Request beat;
-      beat.verb = Verb::kWorkerHeartbeat;
-      beat.client_id = client_id;
-      beat.unit_id = unit_id;
-      std::string payload = EncodeRequest(beat);
-      std::unique_lock<std::mutex> lock(mu_);
-      while (!stop_) {
-        cv_.wait_for(lock, std::chrono::duration<double>(interval_sec));
-        if (stop_) break;
-        std::unique_lock<std::mutex> write_lock(*write_mu);
-        if (!transport->WriteFrame(payload).ok()) break;
-      }
-    });
-  }
+  Heartbeat(FrameTransport* transport, std::mutex* write_mu,
+            std::string client_id, double interval_sec)
+      : transport_(transport),
+        write_mu_(write_mu),
+        client_id_(std::move(client_id)),
+        interval_(interval_sec),
+        thread_([this] { Loop(); }) {}
+  Heartbeat(const Heartbeat&) = delete;
+  Heartbeat& operator=(const Heartbeat&) = delete;
 
-  ~HeartbeatThread() {
+  ~Heartbeat() {
     {
-      std::unique_lock<std::mutex> lock(mu_);
+      std::lock_guard<std::mutex> lock(mu_);
       stop_ = true;
-      cv_.notify_all();
     }
+    cv_.notify_all();
     thread_.join();
   }
 
+  /// Starts beating for `unit_id`, the first beat one interval from now.
+  void Begin(uint64_t unit_id) {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      unit_id_ = unit_id;
+      active_ = true;
+      ++generation_;
+    }
+    cv_.notify_all();
+  }
+
+  /// Stops beating; returns only once a beat being written is done.
+  void End() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      active_ = false;
+      ++generation_;
+    }
+    cv_.notify_all();
+  }
+
  private:
-  std::mutex mu_;
+  void Loop() {
+    std::unique_lock<std::mutex> lock(mu_);
+    while (!stop_) {
+      if (!active_) {
+        cv_.wait(lock, [this] { return stop_ || active_; });
+        continue;
+      }
+      // Each Begin / End bumps the generation: it restarts the interval
+      // for a new unit and cuts the wait short when the unit ends.
+      const uint64_t generation = generation_;
+      if (cv_.wait_for(lock, interval_, [&] {
+            return stop_ || generation_ != generation;
+          })) {
+        continue;
+      }
+      Request beat;
+      beat.verb = Verb::kWorkerHeartbeat;
+      beat.client_id = client_id_;
+      beat.unit_id = unit_id_;
+      std::lock_guard<std::mutex> write_lock(*write_mu_);
+      // A failed write latches the transport: the worker's own result
+      // write reports it, and beating further is pointless.
+      if (!transport_->WriteFrame(EncodeRequest(beat)).ok()) return;
+    }
+  }
+
+  FrameTransport* const transport_;
+  std::mutex* const write_mu_;
+  const std::string client_id_;
+  const std::chrono::duration<double> interval_;
+  std::mutex mu_;  // guards everything below; held across a beat's write
   std::condition_variable cv_;
-  bool stop_;
-  std::thread thread_;
+  bool stop_ = false;
+  bool active_ = false;
+  uint64_t unit_id_ = 0;
+  uint64_t generation_ = 0;
+  std::thread thread_;  // last: starts once the fields above exist
 };
 
 /// Runs one decoded work unit and returns the kPartitionResult fields.
@@ -608,6 +656,8 @@ Status RunWorker(const WorkerOptions& options) {
   // Registered: the connection is now a dispatch stream — the daemon
   // writes kDispatchPartition Requests, we answer with kPartitionResult /
   // kWorkerHeartbeat Requests.
+  Heartbeat heartbeat(&transport, &write_mu, options.name,
+                      options.heartbeat_interval_sec);
   size_t units_started = 0;
   for (;;) {
     auto frame = transport.ReadFrame();
@@ -642,10 +692,9 @@ Status RunWorker(const WorkerOptions& options) {
         return Status::Internal("worker: chaos death in unit " +
                                 std::to_string(units_started));
       }
-      HeartbeatThread heartbeat(&transport, &write_mu, request->unit_id,
-                                options.name,
-                                options.heartbeat_interval_sec);
+      heartbeat.Begin(request->unit_id);
       RunUnit(*work, &result);
+      heartbeat.End();
     }
 
     std::unique_lock<std::mutex> lock(write_mu);

@@ -63,13 +63,11 @@ namespace {
 /// payload (the envelope SealBlob applies to files, inlined here because a
 /// payload is not a magic-led blob — the magic lives in the frame header).
 std::string SealPayload(ByteWriter w) {
-  std::string body = w.TakeBytes();
-  Hash128 sum = HashBytes128(body.data(), body.size());
-  ByteWriter tail;
-  tail.U64(sum.lo);
-  tail.U64(sum.hi);
-  body += tail.TakeBytes();
-  return body;
+  const std::string& body = w.bytes();
+  Hash128 sum = ChecksumBytes128(body.data(), body.size());
+  w.U64(sum.lo);
+  w.U64(sum.hi);
+  return w.TakeBytes();
 }
 
 /// Validates version + checksum and returns a reader positioned after the
@@ -80,7 +78,7 @@ Result<ByteReader> OpenPayload(std::string_view payload) {
     return Status::ParseError("vseld frame payload truncated");
   }
   std::string_view body = payload.substr(0, payload.size() - kTail);
-  Hash128 sum = HashBytes128(body.data(), body.size());
+  Hash128 sum = ChecksumBytes128(body.data(), body.size());
   ByteReader tail(payload.substr(payload.size() - kTail));
   Hash128 stored{tail.U64(), tail.U64()};
   if (stored != sum) {

@@ -78,7 +78,8 @@ bool SessionRegistry::Close(uint64_t id, bool reaped) {
     entry = std::move(it->second);
     sessions_.erase(it);
   }
-  // Teardown outside the map lock: Wait() joins the update worker. The
+  // Teardown outside the map lock: the wait joins the update worker (or
+  // waits out the handler thread running a wait=true update). The
   // entry lock marks the session closing (so a concurrent handler that
   // still holds the shared_ptr fails its next verb instead of racing the
   // destruction), then is *released* before the blocking wait.
@@ -90,7 +91,8 @@ bool SessionRegistry::Close(uint64_t id, bool reaped) {
   }
   if (inflight != nullptr) {
     inflight->Cancel();
-    (void)inflight->Wait();  // anytime contract: returns promptly post-cancel
+    // Anytime contract: returns promptly post-cancel.
+    (void)inflight->WaitStatus();
   }
   if (entry->events != nullptr) entry->events->Close();
   {

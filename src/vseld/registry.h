@@ -8,8 +8,9 @@
 // lookups and insert/erase). Each entry then carries its *own* mutex
 // guarding the session pointer and in-flight handle; handlers lock one
 // entry, never the map, around session work — and never hold the entry
-// lock across a blocking Wait() (they take a shared_ptr to the handle out
-// under the lock and wait on it outside, which TuningHandle supports).
+// lock across a blocking wait or a wait=true update's run (they take a
+// shared_ptr to the handle out under the lock and wait on it, or run it,
+// outside, which TuningHandle supports).
 // Sessions deliberately outlive connections: a client that drops mid-update
 // reconnects and re-addresses its session by id; abandoned sessions are
 // reaped by the daemon's drain.
@@ -76,16 +77,18 @@ struct DaemonSession {
   std::string store_tag;
   vsel::serialize::CacheIdentity identity;
 
-  /// Guards `session`, `inflight` and `closing`. Never held across
-  /// TuningHandle::Wait.
+  /// Guards `session`, `inflight`, `last_recommendation` and `closing`.
+  /// Never held across a TuningHandle wait or Run.
   std::mutex mu;
   std::unique_ptr<vsel::TuningSession> session;
-  /// The at-most-one in-flight async update (TuningSession's own
-  /// contract); a finished handle stays here until the next update or a
-  /// poll observes it.
+  /// The at-most-one in-flight update (TuningSession's own contract),
+  /// whether it runs on its own thread (wait=false) or on the handler
+  /// thread that waits for it (wait=true); a finished handle stays here
+  /// until the next update or a poll observes it.
   std::shared_ptr<vsel::TuningHandle> inflight;
   /// Last completed update's recommendation (what kFetchRecommendation
-  /// serializes), refreshed whenever a handler harvests a finished handle.
+  /// serializes), moved out of a finished handle whenever a handler
+  /// harvests it.
   std::optional<vsel::Recommendation> last_recommendation;
   /// Set once by Close/Drain; later verbs addressing the session fail.
   bool closing = false;

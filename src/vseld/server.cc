@@ -41,9 +41,10 @@ Daemon::Daemon(DaemonOptions options)
   first_byte_ns_ = reg->GetHistogram("vseld_accept_to_first_byte_ns");
   for (uint8_t v = static_cast<uint8_t>(Verb::kPing);
        v <= static_cast<uint8_t>(Verb::kCachePut); ++v) {
-    frames_by_verb_[v] = reg->GetCounter(
-        "vseld_frames_total",
-        std::string("verb=\"") + VerbName(static_cast<Verb>(v)) + "\"");
+    const std::string label =
+        std::string("verb=\"") + VerbName(static_cast<Verb>(v)) + "\"";
+    frames_by_verb_[v] = reg->GetCounter("vseld_frames_total", label);
+    verb_ns_[v] = reg->GetHistogram("vseld_verb_ns", label);
   }
   for (const char* reason : kRejectReasons) {
     // Touch each series so rejected_total{reason} exists from the start.
@@ -164,11 +165,22 @@ void Daemon::HandleConnection(
       (void)transport->WriteFrame(EncodeResponse(resp));
       break;
     }
+    const auto decoded_at = std::chrono::steady_clock::now();
     auto verb_counter = frames_by_verb_.find(static_cast<uint8_t>(req->verb));
     if (verb_counter != frames_by_verb_.end()) verb_counter->second->Add();
+    // Observed once the verb's (last) response frame is written.
+    auto verb_ns = verb_ns_.find(static_cast<uint8_t>(req->verb));
+    auto observe_verb = [&] {
+      if (verb_ns == verb_ns_.end()) return;
+      verb_ns->second->Observe(static_cast<uint64_t>(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(
+              std::chrono::steady_clock::now() - decoded_at)
+              .count()));
+    };
     if (req->verb == Verb::kSubscribeProgress) {
       HandleSubscribe(*req, transport.get());
       if (transport->failed()) break;
+      observe_verb();
       continue;
     }
     if (req->verb == Verb::kRegisterWorker) {
@@ -182,6 +194,7 @@ void Daemon::HandleConnection(
         break;
       }
       if (!transport->WriteFrame(EncodeResponse(resp)).ok()) break;
+      observe_verb();
       // Acked: the connection inverts into a dispatch stream owned by the
       // pool (its reader thread takes over; this handler is done). The
       // pool's shutdown path owns unblocking it from now on.
@@ -199,6 +212,7 @@ void Daemon::HandleConnection(
     resp.request_id = req->request_id;
     if (resp.session_id == 0) resp.session_id = req->session_id;
     if (!transport->WriteFrame(EncodeResponse(resp)).ok()) break;
+    observe_verb();
     if (close_connection) break;
   }
   {
@@ -358,7 +372,7 @@ Result<std::shared_ptr<DaemonSession>> Daemon::FindSession(
 
 void Daemon::HarvestLocked(DaemonSession* entry) {
   if (entry->inflight == nullptr || !entry->inflight->Poll()) return;
-  Result<vsel::Recommendation> result = entry->inflight->Wait();
+  Result<vsel::Recommendation> result = entry->inflight->TakeResult();
   if (result.ok()) entry->last_recommendation = std::move(*result);
   entry->inflight = nullptr;
 }
@@ -408,22 +422,28 @@ Response Daemon::HandleUpdate(const Request& req) {
       return ErrorResponse(
           Status::InvalidArgument("an update is already in flight"), "busy");
     }
-    handle = entry->session->UpdateAsync(std::move(adds), req.remove_queries);
+    // A waiting update runs on this handler thread, which would otherwise
+    // only block in Wait(); registered as in flight before it starts, so
+    // Cancel, Poll, Subscribe, Close and Stop reach it all the same.
+    handle = req.wait ? entry->session->UpdateDeferred(std::move(adds),
+                                                       req.remove_queries)
+                      : entry->session->UpdateAsync(std::move(adds),
+                                                    req.remove_queries);
     entry->inflight = handle;
   }
 
   Response resp;
   resp.session_id = entry->id;
   if (req.wait) {
-    Result<vsel::Recommendation> result = handle->Wait();  // no lock held
+    Status status = handle->Run();  // no lock held
     resp.progress = handle->Current();
     {
       std::lock_guard<std::mutex> lock(entry->mu);
       HarvestLocked(entry.get());
     }
-    if (!result.ok()) {
-      resp.code = result.status().code();
-      resp.message = result.status().message();
+    if (!status.ok()) {
+      resp.code = status.code();
+      resp.message = status.message();
     }
   } else {
     resp.progress = handle->Current();
@@ -458,7 +478,7 @@ Response Daemon::HandleFetch(const Request& req) {
       std::lock_guard<std::mutex> lock(entry->mu);
       handle = entry->inflight;
     }
-    if (handle != nullptr) (void)handle->Wait();  // no lock held
+    if (handle != nullptr) (void)handle->WaitStatus();  // no lock held
   }
   Response resp;
   resp.session_id = entry->id;

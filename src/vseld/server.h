@@ -9,10 +9,12 @@
 // injected accept failure is counted and the loop continues) hands each
 // connection to a fixed-size ThreadPool of connection handlers; a handler
 // owns its connection's FrameTransport and runs the verb loop until the
-// client disconnects or the daemon drains. Session updates never run on
-// handler threads: they run on the session's own UpdateAsync worker, so a
-// handler blocked in a wait=true verb holds no lock and a slow search
-// never starves other connections' handlers.
+// client disconnects or the daemon drains. A wait=true update runs on
+// the handler thread that asked for it (TuningSession::UpdateDeferred):
+// that thread would otherwise sit in Wait() for the whole update, so
+// handler occupancy is unchanged, and it holds no lock while it runs. A
+// wait=false update runs on the session's own UpdateAsync worker, so a
+// slow search never starves other connections' handlers.
 //
 // Graceful drain (Stop): stop accepting, cancel every in-flight update
 // (the anytime contract makes blocked wait=true handlers return promptly
@@ -141,8 +143,8 @@ class Daemon {
 
   /// Find + closing-check, with the unknown-session rejection counted.
   Result<std::shared_ptr<DaemonSession>> FindSession(const Request& req);
-  /// Harvests a finished in-flight handle into last_recommendation.
-  /// Caller holds entry->mu.
+  /// Moves a finished in-flight handle's recommendation into
+  /// last_recommendation. Caller holds entry->mu.
   void HarvestLocked(DaemonSession* entry);
   /// The shared cache backend for `identity` (null when cache_dir unset).
   std::shared_ptr<vsel::serialize::PartitionCacheBackend> BackendFor(
@@ -184,6 +186,8 @@ class Daemon {
   telemetry::Counter* torn_reads_total_ = nullptr;
   telemetry::Histogram* first_byte_ns_ = nullptr;
   std::map<uint8_t, telemetry::Counter*> frames_by_verb_;
+  /// vseld_verb_ns{verb}: decoded request to written response.
+  std::map<uint8_t, telemetry::Histogram*> verb_ns_;
   // vseld_sessions_active is a collector over registry_.live();
   // last member so it unregisters before the registry dies.
   telemetry::CollectorHandle metrics_;

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/hash.h"
 #include "common/random.h"
 #include "common/status.h"
@@ -148,6 +150,73 @@ TEST(HashTest, VectorHashDiffersOnContent) {
   std::vector<uint32_t> c = {1, 2, 3};
   EXPECT_NE(h(a), h(b));
   EXPECT_EQ(h(a), h(c));
+}
+
+Hash128 Checksum(const std::string& s) {
+  return ChecksumBytes128(s.data(), s.size());
+}
+
+TEST(ChecksumTest, KnownAnswersPinTheWireBytes) {
+  // Blob and frame envelopes carry these digests: a change here is a
+  // format change (serialize::kFormatVersion, vseld::kProtocolVersion).
+  struct Case {
+    std::string input;
+    uint64_t lo, hi;
+  };
+  std::string seq(100, '\0');
+  for (size_t i = 0; i < seq.size(); ++i) {
+    seq[i] = static_cast<char>(i * 7 + 1);
+  }
+  const Case cases[] = {
+      {"", 0x73e071319ae872efULL, 0x4d080faad1ce3139ULL},
+      {"a", 0xd66d2dd41ff47b91ULL, 0xf2632576cc38bbd0ULL},
+      {"abc", 0x9145861798e9c964ULL, 0x8ed8204fe951024eULL},
+      {"0123456789abcdef0123456789abcdef", 0xe8478316dcf83721ULL,
+       0x483d4dbd1df7ab71ULL},
+      {"The quick brown fox jumps over the lazy dog", 0x0bc01741eacd73deULL,
+       0xd0871a7afb7d289aULL},
+      {seq, 0x8eef15c7f0e72e04ULL, 0x1ebcb4f90fbcea41ULL},
+  };
+  for (const Case& c : cases) {
+    const Hash128 h = Checksum(c.input);
+    EXPECT_EQ(h.lo, c.lo) << "input of " << c.input.size() << " bytes";
+    EXPECT_EQ(h.hi, c.hi) << "input of " << c.input.size() << " bytes";
+  }
+}
+
+TEST(ChecksumTest, EveryBitFlipAndTruncationOfOneKibChangesTheDigest) {
+  std::string buf(1024, '\0');
+  uint64_t x = 0x2545f4914f6cdd1dULL;
+  for (char& c : buf) {
+    x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+    c = static_cast<char>(x >> 56);
+  }
+  const Hash128 base = Checksum(buf);
+  // Deterministic, not probabilistic: a flip changes one word of one lane,
+  // every lane step is a bijection of its word and of the lane state, and
+  // each half of the finalizer is a bijection of each lane.
+  for (size_t i = 0; i < buf.size(); ++i) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::string flipped = buf;
+      flipped[i] = static_cast<char>(flipped[i] ^ (1 << bit));
+      EXPECT_NE(Checksum(flipped), base) << "byte " << i << " bit " << bit;
+    }
+  }
+  for (size_t len = 0; len < buf.size(); ++len) {
+    EXPECT_NE(ChecksumBytes128(buf.data(), len), base)
+        << "prefix of " << len << " bytes";
+  }
+}
+
+TEST(ChecksumTest, TrailingZeroByteChangesTheDigest) {
+  // The tail word is zero-padded, so only the length tells these apart.
+  for (const std::string& s :
+       {std::string(), std::string("a"), std::string("abcdefg"),
+        std::string(31, 'x'), std::string(32, 'x'), std::string(40, '\0')}) {
+    std::string padded = s;
+    padded.push_back('\0');
+    EXPECT_NE(Checksum(s), Checksum(padded)) << s.size() << " bytes";
+  }
 }
 
 }  // namespace

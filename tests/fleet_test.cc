@@ -4,7 +4,8 @@
 // idempotency and death handling over raw socketpairs, FleetExecutor's
 // zero-worker local fallback, and daemon-backed end-to-end coverage — one
 // worker serving every partition, all workers dead (degraded survivors-only
-// recommendation), and the RemoteCacheBackend speaking the cache verbs.
+// recommendation), heartbeats keeping a slow unit's worker alive, and the
+// RemoteCacheBackend speaking the cache verbs.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
@@ -19,6 +20,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/fault.h"
 #include "rdf/statistics.h"
 #include "test_util.h"
 #include "vsel/cost_model.h"
@@ -457,7 +459,8 @@ TEST(FleetExecutorTest, ZeroRegisteredWorkersFallsBackToLocal) {
 
 class FleetDaemonTest : public ::testing::Test {
  protected:
-  void StartDaemon(bool with_cache_dir = false) {
+  void StartDaemon(bool with_cache_dir = false,
+                   double liveness_timeout_sec = 5.0) {
     queries_ = {
         MustParse("q1(X, Z) :- t(X, a:p1, Y), t(Y, a:p2, Z)", &dict_),
         MustParse("q2(X) :- t(X, a:p1, a:c1)", &dict_),
@@ -474,7 +477,7 @@ class FleetDaemonTest : public ::testing::Test {
     options.socket_path = socket_path_;
     options.max_connections = 8;
     options.enable_fleet = true;
-    options.fleet_liveness_timeout_sec = 5.0;
+    options.fleet_liveness_timeout_sec = liveness_timeout_sec;
     if (with_cache_dir) {
       cache_dir_ = (fs::path(::testing::TempDir()) / (base + "_cache")).string();
       fs::remove_all(cache_dir_);
@@ -488,6 +491,7 @@ class FleetDaemonTest : public ::testing::Test {
   }
 
   void TearDown() override {
+    fault::Disarm();
     if (daemon_ != nullptr) daemon_->Stop();
     for (std::thread& t : workers_) t.join();
     fs::remove(socket_path_);
@@ -584,6 +588,51 @@ TEST_F(FleetDaemonTest, AllWorkersDeadDegradesToSurvivors) {
   const WorkerPool::Counters counters = daemon_->fleet_pool().counters();
   EXPECT_EQ(counters.worker_deaths, 1u);
   EXPECT_GE(counters.requeues, 1u);  // the chaos death re-queued its unit
+}
+
+TEST_F(FleetDaemonTest, HeartbeatsKeepASlowUnitsWorkerAlive) {
+  // The unit hangs at the worker for three of the pool's liveness
+  // timeouts; the worker beats ten times per timeout (SpawnWorker: 0.05 s).
+  constexpr double kLiveness = 0.5;
+  StartDaemon(/*with_cache_dir=*/false, kLiveness);
+  SpawnWorker();
+  WorkerPool& pool = daemon_->fleet_pool();
+  fault::FaultPlan plan;
+  fault::SiteSpec hang;
+  hang.action = fault::Action::kHang;
+  // No stop token reaches a worker's search: the cap releases the hang,
+  // and the worker answers with the hang's TimedOut.
+  hang.hang_max_sec = 3 * kLiveness;
+  plan[fault::sites::kWorkerSearch] = hang;
+  fault::Arm(11, std::move(plan));
+
+  rdf::Dictionary dict;
+  const auto t0 = std::chrono::steady_clock::now();
+  Result<std::string> result =
+      pool.Execute(EncodeFleetWorkUnit(SampleUnit(&dict)), StopToken());
+  const double held_sec = std::chrono::duration<double>(
+                              std::chrono::steady_clock::now() - t0)
+                              .count();
+  EXPECT_EQ(fault::Injected(fault::sites::kWorkerSearch), 1u);
+  fault::Disarm();
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kTimedOut)
+      << result.status().ToString();
+  EXPECT_GT(held_sec, kLiveness);
+
+  // The same worker answered: one dispatch, one result, nobody declared
+  // dead, nothing re-queued.
+  const WorkerPool::Counters counters = pool.counters();
+  EXPECT_EQ(counters.dispatches, 1u);
+  EXPECT_EQ(counters.results, 1u);
+  EXPECT_EQ(counters.requeues, 0u);
+  EXPECT_EQ(counters.worker_deaths, 0u);
+  EXPECT_GT(counters.heartbeats, 0u);
+  EXPECT_EQ(pool.live_workers(), 1u);
+
+  // An idle worker does not beat.
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  EXPECT_EQ(pool.counters().heartbeats, counters.heartbeats);
 }
 
 TEST_F(FleetDaemonTest, RemoteCacheBackendRoundTrip) {

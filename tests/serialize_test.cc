@@ -44,10 +44,12 @@ std::string TempCacheDir(const std::string& name) {
 /// Re-seals a blob whose bytes were deliberately patched: recomputes the
 /// trailing 128-bit digest so the tamper is *not* reported as corruption
 /// (the tests below patch version / identity fields and want the specific
-/// rejection, not the checksum's).
-void ResealBlob(std::string* bytes) {
+/// rejection, not the checksum's). `checksum` is the envelope's digest;
+/// format version 1 sealed with HashBytes128.
+void ResealBlob(std::string* bytes,
+                Hash128 (*checksum)(const void*, size_t) = ChecksumBytes128) {
   ASSERT_GE(bytes->size(), 16u);
-  Hash128 sum = HashBytes128(bytes->data(), bytes->size() - 16);
+  Hash128 sum = checksum(bytes->data(), bytes->size() - 16);
   for (int i = 0; i < 8; ++i) {
     (*bytes)[bytes->size() - 16 + i] =
         static_cast<char>((sum.lo >> (8 * i)) & 0xff);
@@ -528,6 +530,50 @@ TEST_F(SerializeRejectionTest, ImplausibleIdCountersAreRejected) {
   SerializeState(lying2, &w2);
   ByteReader r2(w2.bytes());
   EXPECT_EQ(DeserializeState(&r2).status().code(), StatusCode::kParseError);
+}
+
+TEST(DirCacheBackendTest, FormatVersionOneEntryIsARejectedMissAndOverwritten) {
+  Fixture fx;
+  TuningConfig options = fx.Options(StrategyKind::kDfs);
+  SearchedPartitions searched =
+      RunPartitionSearches(fx.store, fx.dict, fx.initial, options);
+  ASSERT_FALSE(searched.results.empty());
+  CacheIdentity identity = ComputeCacheIdentity(fx.store, options);
+  const std::string dir = TempCacheDir("format_v1");
+  DirCacheBackend backend(dir, identity);
+  const std::string& key = searched.plan.group_keys[0];
+  ASSERT_TRUE(backend.Put(key, searched.results[0]).ok());
+  fs::path entry;
+  for (const fs::directory_entry& e : fs::directory_iterator(dir)) {
+    if (e.path().extension() == ".rvpo") entry = e.path();
+  }
+  ASSERT_FALSE(entry.empty());
+
+  // Rewrite the entry as a version-1 file: version field 1, sealed with
+  // the version-1 checksum.
+  std::string bytes = SerializePartitionOutcome(key, searched.results[0],
+                                                identity);
+  bytes[4] = 1;  // version u32, LE
+  ResealBlob(&bytes, HashBytes128);
+  {
+    std::FILE* f = std::fopen(entry.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+    std::fclose(f);
+  }
+  PartitionCacheBackend::Fetched hit;
+  Status miss = backend.Get(key, &hit);
+  EXPECT_EQ(miss.code(), StatusCode::kNotFound);
+  EXPECT_NE(miss.message().find("version 1"), std::string::npos)
+      << miss.ToString();
+  EXPECT_EQ(backend.counters().rejected, 1u);
+
+  // The partition's fresh result overwrites the stale file in place.
+  ASSERT_TRUE(backend.Put(key, searched.results[0]).ok());
+  EXPECT_EQ(backend.Size(), 1u);
+  ASSERT_TRUE(backend.Get(key, &hit).ok());
+  EXPECT_EQ(hit.result.search.best.Signature(),
+            searched.results[0].search.best.Signature());
 }
 
 TEST(DirCacheBackendTest, ClearSweepsOrphanedTempFiles) {

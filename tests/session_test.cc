@@ -663,6 +663,91 @@ TEST(SessionParallelAsyncTest, SecondUpdateWhileInFlightIsRejected) {
   EXPECT_TRUE(inflight->Wait().ok());
 }
 
+TEST(SessionParallelAsyncTest, DeferredUpdateRunsOnTheCallingThread) {
+  SessionFixture fx;
+  TuningConfig options = fx.Options(StrategyKind::kDfs);
+  std::mutex mu;
+  std::vector<std::thread::id> event_threads;
+  options.limits.on_progress = [&](const ProgressEvent&) {
+    std::lock_guard<std::mutex> lock(mu);
+    event_threads.push_back(std::this_thread::get_id());
+  };
+  TuningSession session(&fx.store, &fx.dict, options);
+  std::shared_ptr<TuningHandle> handle = session.UpdateDeferred(fx.initial);
+  // In flight from the moment it exists, and nothing runs it yet.
+  EXPECT_FALSE(handle->Poll());
+  EXPECT_FALSE(session.Update({}).ok());
+  Result<Recommendation> waited = Status::Internal("waiter did not run");
+  std::thread waiter([&] { waited = handle->Wait(); });
+
+  ASSERT_TRUE(handle->Run().ok());
+  waiter.join();
+  EXPECT_TRUE(handle->Poll());
+  EXPECT_TRUE(handle->Current().done);
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    ASSERT_FALSE(event_threads.empty());
+    for (std::thread::id id : event_threads) {
+      EXPECT_EQ(id, std::this_thread::get_id());
+    }
+  }
+  // Run again is a wait; the waiter got its copy; TakeResult moves it out.
+  EXPECT_TRUE(handle->Run().ok());
+  ASSERT_TRUE(waited.ok()) << waited.status().ToString();
+  Result<Recommendation> taken = handle->TakeResult();
+  ASSERT_TRUE(taken.ok()) << taken.status().ToString();
+  EXPECT_EQ(taken->best_state.Signature(), waited->best_state.Signature());
+  ExpectSameRecommendation(*taken, fx.Scratch(fx.initial, options));
+  EXPECT_EQ(handle->Wait().status().code(), StatusCode::kNotFound);
+  EXPECT_TRUE(handle->WaitStatus().ok());
+  EXPECT_EQ(session.workload().size(), fx.initial.size());
+}
+
+TEST(SessionParallelAsyncTest, DeferredUpdateCancelledFromAnotherThread) {
+  rdf::Dictionary dict;
+  std::vector<cq::ConjunctiveQuery> workload = HugeSpaceWorkload(&dict);
+  rdf::TripleStore store =
+      workload::GenerateStoreForWorkload(workload, &dict, 2000, 7);
+  TuningConfig options;
+  options.strategy = StrategyKind::kExNaive;
+  TuningSession session(&store, &dict, options);
+  std::shared_ptr<TuningHandle> handle = session.UpdateDeferred(workload);
+  std::thread canceller([&] {
+    // Only the cancel can end the run: let it get under way (first
+    // improvement, or 2 s), then cancel.
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(2);
+    while (handle->Current().improvements == 0 &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+    handle->Cancel();
+  });
+  Status ran = handle->Run();
+  canceller.join();
+  ASSERT_TRUE(ran.ok()) << ran.ToString();
+  Result<Recommendation> rec = handle->TakeResult();
+  ASSERT_TRUE(rec.ok()) << rec.status().ToString();
+  EXPECT_TRUE(rec->stats.cancelled);
+  EXPECT_EQ(rec->rewritings.size(), workload.size());
+}
+
+TEST(SessionTest, DroppedDeferredUpdateFreesTheSession) {
+  SessionFixture fx;
+  TuningConfig options = fx.Options(StrategyKind::kDfs);
+  TuningSession session(&fx.store, &fx.dict, options);
+  {
+    std::shared_ptr<TuningHandle> never_run =
+        session.UpdateDeferred(fx.initial);
+  }
+  // The dropped update never ran: nothing advanced, and the session takes
+  // the next update.
+  EXPECT_TRUE(session.workload().empty());
+  Result<Recommendation> rec = session.Update(fx.initial);
+  ASSERT_TRUE(rec.ok()) << rec.status().ToString();
+  ExpectSameRecommendation(*rec, fx.Scratch(fx.initial, options));
+}
+
 // ---- Failure / retry event ordering ----------------------------------------
 
 /// Thread-safe collector for the retry-machinery events of one update

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "common/fault.h"
+#include "common/telemetry/metrics.h"
 #include "test_util.h"
 #include "vsel/serialize/serialize.h"
 #include "vseld/client.h"
@@ -622,6 +623,155 @@ TEST_F(VseldDaemonTest, SessionSurvivesReconnect) {
       second.FetchRecommendation(session_id, false, /*wait=*/true);
   ASSERT_TRUE(fetched.ok()) << fetched.status().ToString();
   EXPECT_TRUE(second.CloseSession(session_id).ok());
+}
+
+// ---- A wait=true update while other connections act on it -----------------
+
+/// A wait=true update of an 8-atom chain, run from its own thread and
+/// connection. With max_states 50M the chain's search space takes far
+/// longer to exhaust than any test, so the update runs until something
+/// cancels it.
+class WaitingUpdate {
+ public:
+  WaitingUpdate(const std::string& socket_path, const std::string& client_id)
+      : socket_path_(socket_path), client_id_(client_id) {}
+
+  ~WaitingUpdate() {
+    if (thread_.joinable()) thread_.join();
+  }
+
+  /// Opens the session through `control` and starts the update.
+  void Start(Client* control) {
+    vsel::TuningConfig options;
+    options.auto_calibrate_cm = false;
+    options.limits.max_states = 50000000;
+    Result<uint64_t> sid = control->OpenSession("default", options);
+    ASSERT_TRUE(sid.ok()) << sid.status().ToString();
+    session_ = *sid;
+    thread_ = std::thread([this] {
+      Result<Client> owner = Client::Connect(socket_path_, client_id_);
+      if (owner.ok()) {
+        result_ = owner->Update(
+            session_,
+            {"long(X1, X9) :- t(X1, a:p1, X2), t(X2, a:p2, X3), "
+             "t(X3, b:p1, X4), t(X4, b:p2, X5), t(X5, c:p1, X6), "
+             "t(X6, a:p1, X7), t(X7, a:p2, X8), t(X8, b:p1, X9)"},
+            {}, /*wait=*/true);
+      }
+      returned_.store(true);
+    });
+  }
+
+  /// Polls through `control`, without sleeping, until the update is seen
+  /// in flight (true) or its verb returned first (false).
+  bool SeenRunning(Client* control) {
+    while (!returned_.load()) {
+      Result<vsel::TuningProgress> polled = control->Poll(session_);
+      if (polled.ok() && !polled->done) return true;
+    }
+    return false;
+  }
+
+  /// Joins the updating thread and returns what its verb returned.
+  Result<vsel::TuningProgress> Join() {
+    thread_.join();
+    return result_;
+  }
+
+  uint64_t session() const { return session_; }
+
+ private:
+  const std::string socket_path_;
+  const std::string client_id_;
+  uint64_t session_ = 0;
+  std::atomic<bool> returned_{false};
+  Result<vsel::TuningProgress> result_ = Status::Internal("never connected");
+  std::thread thread_;
+};
+
+TEST_F(VseldDaemonTest, WaitingUpdateIsCancelledFromAnotherConnection) {
+  Client control = MustConnect("tenant");
+  WaitingUpdate update(socket_path_, "tenant");
+  update.Start(&control);
+  ASSERT_TRUE(update.SeenRunning(&control));
+  Result<vsel::TuningProgress> cancelled = control.Cancel(update.session());
+  ASSERT_TRUE(cancelled.ok()) << cancelled.status().ToString();
+  EXPECT_TRUE(cancelled->cancel_requested);
+
+  // The anytime contract: the waiting verb returns OK with the valid
+  // current best, and a fetch serves it.
+  Result<vsel::TuningProgress> waited = update.Join();
+  ASSERT_TRUE(waited.ok()) << waited.status().ToString();
+  EXPECT_TRUE(waited->done);
+  EXPECT_TRUE(waited->cancel_requested);
+  Result<Client::FetchedRecommendation> fetched = control.FetchRecommendation(
+      update.session(), /*canonical=*/false, /*wait=*/true);
+  ASSERT_TRUE(fetched.ok()) << fetched.status().ToString();
+  EXPECT_FALSE(fetched->blob.empty());
+  EXPECT_TRUE(control.CloseSession(update.session()).ok());
+}
+
+TEST_F(VseldDaemonTest, StopReturnsWhileAWaitingUpdateRuns) {
+  Client control = MustConnect("tenant");
+  WaitingUpdate update(socket_path_, "tenant");
+  update.Start(&control);
+  ASSERT_TRUE(update.SeenRunning(&control));
+  daemon_->Stop();  // must cancel the update, unblock its handler, reap
+  (void)update.Join();
+  EXPECT_EQ(daemon_->registry().live(), 0u);
+  EXPECT_EQ(daemon_->registry().opened(),
+            daemon_->registry().closed() + daemon_->registry().reaped());
+}
+
+TEST_F(VseldDaemonTest, CloseSessionReturnsWhileAWaitingUpdateRuns) {
+  Client control = MustConnect("tenant");
+  WaitingUpdate update(socket_path_, "tenant");
+  update.Start(&control);
+  ASSERT_TRUE(update.SeenRunning(&control));
+  EXPECT_TRUE(control.CloseSession(update.session()).ok());
+  EXPECT_EQ(daemon_->registry().live(), 0u);
+  EXPECT_EQ(daemon_->admission().live_sessions(), 0u);
+  Result<vsel::TuningProgress> waited = update.Join();
+  EXPECT_TRUE(waited.ok()) << waited.status().ToString();
+  // The session is gone for every later verb.
+  EXPECT_EQ(control.Poll(update.session()).status().code(),
+            StatusCode::kNotFound);
+}
+
+TEST_F(VseldDaemonTest, VerbLatencyHistogramObservesEachCall) {
+  telemetry::MetricsRegistry* reg = telemetry::MetricsRegistry::Default();
+  auto count = [reg](const char* verb) {
+    return reg
+        ->GetHistogram("vseld_verb_ns", std::string("verb=\"") + verb + "\"")
+        ->Count();
+  };
+  const char* verbs[] = {"ping", "open_session", "update",
+                         "fetch_recommendation", "close_session"};
+  std::vector<uint64_t> before;
+  for (const char* verb : verbs) before.push_back(count(verb));
+
+  Client client = MustConnect("tenant");
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(client.Ping().ok());
+  vsel::TuningConfig options;
+  options.auto_calibrate_cm = false;
+  Result<uint64_t> session = client.OpenSession("default", options);
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  ASSERT_TRUE(
+      client.Update(*session, {QueryText(0, "h1")}, {}, /*wait=*/true).ok());
+  ASSERT_TRUE(client.FetchRecommendation(*session, false, true).ok());
+  ASSERT_TRUE(client.CloseSession(*session).ok());
+  // The handler observes a verb after writing its response and before
+  // reading the next frame: one more round trip orders every observation
+  // above before the reads below.
+  ASSERT_TRUE(client.Telemetry(TelemetryFormat::kJson).ok());
+
+  const uint64_t calls[] = {3, 1, 1, 1, 1};
+  for (size_t v = 0; v < std::size(verbs); ++v) {
+    EXPECT_EQ(count(verbs[v]) - before[v], calls[v]) << verbs[v];
+  }
+  Result<std::string> prom = client.Telemetry(TelemetryFormat::kPrometheus);
+  ASSERT_TRUE(prom.ok());
+  EXPECT_NE(prom->find("vseld_verb_ns"), std::string::npos);
 }
 
 // ---- Fault injection through the vseld.* sites ----------------------------
